@@ -87,7 +87,7 @@ def _add_cv_options(p: argparse.ArgumentParser) -> None:
 
 def _add_common_output(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out-dir", required=True, help="directory for the JSON/CSV reports")
-    p.add_argument("--threads", type=int, default=_default_threads(), help=f"parallelism cap (default ${THREADS_ENV} or 1)")
+    p.add_argument("--threads", type=int, default=_default_threads(), help=f"ignored, runs are serial (default ${THREADS_ENV} or 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -206,7 +206,6 @@ def cmd_fit(args) -> int:
         seed=args.seed,
         deselect_threshold=None if args.no_deselect else args.tau,
         baseline=args.baseline,
-        threads=args.threads,
     )
     os.makedirs(args.out_dir, exist_ok=True)
     payload = {
@@ -232,9 +231,7 @@ def cmd_cv(args) -> int:
     config = BoostConfig(learning_rate=args.learning_rate, m_stop=args.mstop_budget)
     design = augment_design(data, weights, spec)
     plan = build_fold_plan(data, FoldKind(args.cv), args.folds, args.seed)
-    m_opt, curve = select_m_opt(
-        data, design, weights, spec, config, plan, threads=args.threads
-    )
+    m_opt, curve = select_m_opt(data, design, weights, spec, config, plan)
     os.makedirs(args.out_dir, exist_ok=True)
     payload = {
         "tool": tool_stamp(),
@@ -267,7 +264,14 @@ def cmd_transform(args) -> int:
     spec = _model_spec(args)
     config = BoostConfig(learning_rate=args.learning_rate, m_stop=args.mstop_budget)
     design = augment_design(data, weights, spec)
-    components = estimate_variance_components(data, design, weights, spec, config=config)
+    # fit's folds, so boosted preliminary residuals whiten alike; without
+    # centroids, where fit refuses spatial folds, keep leave-time-out ones
+    plan = None
+    if data.centroids is not None or args.cv == "time":
+        plan = build_fold_plan(data, FoldKind(args.cv), args.folds, args.seed)
+    components = estimate_variance_components(
+        data, design, weights, spec, config=config, cv_plan=plan
+    )
     td = whiten(data, design, weights, spec, components)
     os.makedirs(args.out_dir, exist_ok=True)
     payload = {
@@ -330,7 +334,6 @@ def cmd_simulate(args) -> int:
         boost_config=config,
         n_folds=args.folds,
         deselect_threshold=args.tau,
-        threads=args.threads,
     )
     os.makedirs(args.out_dir, exist_ok=True)
     payload = {

@@ -11,7 +11,6 @@ iteration.
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +20,7 @@ from .boosting import BoostConfig, _boost_path
 from .errors import DegenerateGeometryError, ValidationError
 
 KMEANS_RESTARTS = 50
+KMEANS_MAX_ITER = 100
 
 
 class FoldKind(enum.Enum):
@@ -64,14 +64,29 @@ class FoldPlan:
         object.__setattr__(self, "assignment", a)
 
 
+def _kmeans_restart(pts: np.ndarray, n_folds: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """One ``kmeans2(..., iter=100, minit="++")`` restart, stopped at its fixed point."""
+    centers, labels = kmeans2(pts, n_folds, iter=1, minit="++", missing="raise", rng=rng)
+    for _ in range(KMEANS_MAX_ITER - 1):
+        centers, new_labels = kmeans2(pts, centers, iter=1, minit="matrix", missing="raise")
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+    return centers, labels
+
+
 def make_spatial_folds(
     centroids: np.ndarray, n_folds: int, n_periods: int, seed: int
 ) -> FoldPlan:
     """Cluster centroids into folds with restarted seeded k-means.
 
-    Runs up to 50 restarts and keeps the labeling with the lowest
+    Runs up to 50 k-means++ restarts and keeps the labeling with the lowest
     within-cluster sum of squares.  Restarts that lose a cluster are
-    retried with a fresh stream; 50 such failures abort.
+    retried with a fresh stream; 50 such failures abort.  Each restart runs
+    Lloyd iterations until the labels stop changing, at most 100.  This
+    equals 100 iterations bit for bit, lost clusters included: the centres
+    are recomputed from the labels alone, so once the labels repeat, so do
+    the centres and every later iteration.
     """
     pts = np.asarray(centroids, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -90,16 +105,13 @@ def make_spatial_folds(
     best_wcss = np.inf
     successes = 0
     failures = 0
-    attempt = 0
     while successes < KMEANS_RESTARTS:
+        attempt = successes + failures
         rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(attempt,)))
         )
-        attempt += 1
         try:
-            centers, labels = kmeans2(
-                pts, n_folds, iter=100, minit="++", missing="raise", rng=rng
-            )
+            centers, labels = _kmeans_restart(pts, n_folds, rng)
         except ClusterError:
             failures += 1
             if failures >= KMEANS_RESTARTS:
@@ -151,6 +163,8 @@ def boost_cv_curve(
     mean squared error of the model after m iterations trained on the
     remaining folds; entry 0 belongs to the zero model.  Training columns
     that are identically zero within a fold are excluded for that fold only.
+    ``threads`` is ignored: folds run serially, since the fits hold the GIL
+    and a thread pool was slower.
     """
     y = np.asarray(response, dtype=float)
     z = np.asarray(design, dtype=float)
@@ -170,12 +184,7 @@ def boost_cv_curve(
         )
         return heldout_risk
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            curves = list(pool.map(one_fold, range(plan.n_folds)))
-    else:
-        curves = [one_fold(f) for f in range(plan.n_folds)]
-    return np.mean(curves, axis=0)
+    return np.mean([one_fold(f) for f in range(plan.n_folds)], axis=0)
 
 
 def choose_stopping_iteration(curve: np.ndarray) -> int:

@@ -99,13 +99,13 @@ def select_m_opt(
     Estimates the variance parameters once on the full sample, whitens
     once, then evaluates held-out risk per fold along the boosting path.
     Returns the minimizing iteration (ties to the smaller count) and the
-    fold-averaged risk curve indexed 0..m_stop.
+    fold-averaged risk curve indexed 0..m_stop.  ``threads`` is ignored.
     """
     components = estimate_variance_components(
         data, design, weights, spec, config=config, cv_plan=plan
     )
     td = whiten(data, design, weights, spec, components)
-    curve = boost_cv_curve(td.response, td.design, plan, config, threads=threads)
+    curve = boost_cv_curve(td.response, td.design, plan, config)
     return choose_stopping_iteration(curve), curve
 
 
@@ -162,6 +162,7 @@ def fit_model(
     ``deselect_threshold=None`` skips deselection.  ``baseline=True`` adds
     the least-squares benchmark when the design permits it; an
     under-determined design marks it unavailable instead of failing the run.
+    ``threads`` is ignored; folds run serially.
     """
     if standardize:
         data = standardize_regressors(data)
@@ -171,7 +172,7 @@ def fit_model(
         data, design, weights, spec, config=config, cv_plan=plan
     )
     td = whiten(data, design, weights, spec, components)
-    curve = boost_cv_curve(td.response, td.design, plan, config, threads=threads)
+    curve = boost_cv_curve(td.response, td.design, plan, config)
     m_opt = choose_stopping_iteration(curve)
     fit = boost(td, config, n_iterations=m_opt)
     des = None

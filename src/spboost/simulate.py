@@ -16,7 +16,6 @@ from its own stream and shared by all replications of a configuration.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -27,7 +26,7 @@ from .crossval import FoldKind
 from .errors import AlignmentError, ValidationError
 from .linalg import SpatialFilter
 from .panel import INTERCEPT_NAME, LAG_PREFIX, ModelSpec, PanelDataset
-from .pipeline import FitResult, fit_model
+from .pipeline import fit_model
 from .weights import SpatialWeights, build_knn_weights
 
 METHODS = ("fgls", "ltb", "des")
@@ -266,30 +265,6 @@ class SimulationMetrics:
     n_replications: int
 
 
-def _replication_fit(
-    cfg: DgpConfig,
-    spec: ModelSpec,
-    replication: int,
-    geometry,
-    methods: Sequence[str],
-    boost_config: BoostConfig,
-    n_folds: int,
-    deselect_threshold: float,
-) -> FitResult:
-    data, weights = generate_panel(cfg, replication, geometry=geometry)
-    return fit_model(
-        data,
-        weights,
-        spec,
-        config=boost_config,
-        cv_kind=FoldKind.SPATIAL,
-        n_folds=n_folds,
-        seed=cfg.fold_seed(replication),
-        deselect_threshold=deselect_threshold if "des" in methods else None,
-        baseline="fgls" in methods,
-    )
-
-
 def run_experiment(
     cfg: DgpConfig,
     methods: Sequence[str] = METHODS,
@@ -304,7 +279,8 @@ def run_experiment(
     Selection rates and errors are averaged over replications per method.
     A method that is infeasible on this design (least squares with more
     candidates than observations) is reported as unavailable rather than
-    failing the experiment.
+    failing the experiment.  ``threads`` is ignored: replications run
+    serially, since the fits hold the GIL and a thread pool was slower.
     """
     methods = tuple(methods)
     unknown = [s for s in methods if s not in METHODS]
@@ -314,16 +290,22 @@ def run_experiment(
         spec = ModelSpec()
     geometry = cfg.geometry()
 
-    def one(r: int) -> FitResult:
-        return _replication_fit(
-            cfg, spec, r, geometry, methods, boost_config, n_folds, deselect_threshold
+    fits = []
+    for r in range(cfg.n_replications):
+        data, weights = generate_panel(cfg, r, geometry=geometry)
+        fits.append(
+            fit_model(
+                data,
+                weights,
+                spec,
+                config=boost_config,
+                cv_kind=FoldKind.SPATIAL,
+                n_folds=n_folds,
+                seed=cfg.fold_seed(r),
+                deselect_threshold=deselect_threshold if "des" in methods else None,
+                baseline="fgls" in methods,
+            )
         )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            fits = list(pool.map(one, range(cfg.n_replications)))
-    else:
-        fits = [one(r) for r in range(cfg.n_replications)]
 
     truth = cfg.true_coefficients
     details: list[dict] = []

@@ -176,6 +176,10 @@ def read_neighbor_csv(path: str, location_ids: list[str]) -> SpatialWeights:
     """
     index = {lab: i for i, lab in enumerate(location_ids)}
     n = len(location_ids)
+    if n > DENSE_LIMIT:
+        raise ValidationError(
+            f"{n} locations exceeds the dense weight matrix limit of {DENSE_LIMIT}"
+        )
     m = np.zeros((n, n))
     seen: set[tuple[int, int]] = set()
     with open(path, newline="") as fh:

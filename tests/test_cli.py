@@ -205,15 +205,20 @@ def test_fixed_effects_with_intercept_is_invalid(panel_files, tmp_path, capsys):
 # weights ingestion via neighbour lists
 
 
+def write_ring_edges(path, n):
+    """Neighbour list linking each location to the next two around a ring."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["from", "to", "weight"])
+        for i in range(n):
+            writer.writerow([str(i), str((i + 1) % n), "1.0"])
+            writer.writerow([str(i), str((i + 2) % n), "1.0"])
+
+
 def test_fit_with_neighbor_list_weights(panel_files, tmp_path):
     panel, _ = panel_files
     neighbours = tmp_path / "edges.csv"
-    with open(neighbours, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["from", "to", "weight"])
-        for i in range(25):
-            writer.writerow([str(i), str((i + 1) % 25), "1.0"])
-            writer.writerow([str(i), str((i + 2) % 25), "1.0"])
+    write_ring_edges(neighbours, 25)
     args = [
         "fit",
         "--panel",
@@ -294,6 +299,45 @@ def test_transform_subcommand_writes_whitened_panel(panel_files, tmp_path):
     assert len(rows) == 1 + 25 * 3
     values = np.array([[float(v) for v in row[2:]] for row in rows[1:]])
     assert np.all(np.isfinite(values))
+
+
+def test_transform_with_neighbor_list_weights_needs_no_centroids(panel_files, tmp_path):
+    panel, _ = panel_files
+    neighbours = tmp_path / "edges.csv"
+    write_ring_edges(neighbours, 25)
+    out = tmp_path / "tr"
+    args = [
+        "transform",
+        "--panel",
+        panel,
+        "--weights",
+        str(neighbours),
+        "--row-normalize",
+        "--out-dir",
+        str(out),
+    ]
+    assert main(args) == 0
+    assert load_json(out / "transform.json")["transform_fingerprint"]
+
+
+def test_fit_and_transform_whiten_alike_with_boosted_residuals(tmp_path):
+    # k >= 0.8 NT sends the preliminary residuals through boosting with CV,
+    # so both commands must use the same fold plan to whiten alike.
+    cfg = DgpConfig(
+        n_locations=60, n_periods=4, n_candidates=200, knn_k=5, seed=1, n_replications=1
+    )
+    data, _ = generate_panel(cfg, 0)
+    panel = tmp_path / "panel.csv"
+    centroids = tmp_path / "centroids.csv"
+    write_panel_csv(panel, data)
+    write_centroid_csv(centroids, data)
+    common = ["--panel", str(panel), "--centroids", str(centroids), "--knn", "5", "--seed", "1"]
+    assert main(["fit", *common, "--out-dir", str(tmp_path / "fit")]) == 0
+    assert main(["transform", *common, "--out-dir", str(tmp_path / "tr")]) == 0
+    fit = load_json(tmp_path / "fit" / "report.json")
+    tr = load_json(tmp_path / "tr" / "transform.json")
+    assert tr["transform_fingerprint"] == fit["transform_fingerprint"]
+    assert tr["variance_components"] == fit["variance_components"]
 
 
 # ---------------------------------------------------------------------------

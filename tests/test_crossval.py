@@ -1,12 +1,17 @@
 """Fold construction and the cross-validated stopping rule."""
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy.cluster.vq import ClusterError, kmeans2
 
 from spboost.boosting import BoostConfig, boost
 from spboost.crossval import (
+    KMEANS_MAX_ITER,
     FoldKind,
     FoldPlan,
+    _kmeans_restart,
     boost_cv_curve,
     choose_stopping_iteration,
     make_spatial_folds,
@@ -116,6 +121,71 @@ def test_spatial_folds_validate_inputs():
         make_spatial_folds(bad, 2, 2, seed=0)
     with pytest.raises(ValidationError):
         make_spatial_folds(pts.ravel(), 2, 2, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# k-means restarts stopped at their fixed point
+
+
+def _geometry(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        return rng.uniform(0.0, 1.0, size=(n, 2))
+    if kind == "clustered":
+        centres = rng.uniform(0.0, 10.0, size=(4, 2))
+        return centres[rng.integers(0, 4, size=n)] + rng.normal(0.0, 0.3, size=(n, 2))
+    if kind == "collinear":
+        s = rng.uniform(0.0, 1.0, size=n)
+        return np.column_stack([s, 2.0 * s + 1.0])
+    # three distinct sites: k-means++ must repeat a site for more than three
+    # clusters, and the duplicate centre loses its cluster
+    return np.repeat(rng.uniform(0.0, 1.0, size=(3, 2)), -(-n // 3), axis=0)[:n]
+
+
+def _restart_outcome(kmeans, pts, n_folds, seed):
+    rng = np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
+    )
+    with warnings.catch_warnings():
+        # k-means++ divides by a zero total distance on the duplicated sites
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            centers, labels = kmeans(pts, n_folds, rng)
+        except ClusterError:
+            return None
+    return centers.dtype, centers.shape, centers.tobytes(), labels.dtype, labels.tobytes()
+
+
+def _hundred_iterations(pts, n_folds, rng):
+    return kmeans2(pts, n_folds, iter=KMEANS_MAX_ITER, minit="++", missing="raise", rng=rng)
+
+
+def _seeding_step(pts, n_folds, rng):
+    return kmeans2(pts, n_folds, iter=1, minit="++", missing="raise", rng=rng)
+
+
+def test_kmeans_restart_is_bitwise_the_hundred_iteration_kmeans2():
+    lost = 0
+    for seed in range(240):
+        kind = ("uniform", "clustered", "collinear", "duplicated")[seed % 4]
+        n = (30, 100, 500, 2000)[seed // 4 % 4]
+        n_folds = 2 + seed // 16 % 7
+        pts = _geometry(kind, n, seed)
+        expected = _restart_outcome(_hundred_iterations, pts, n_folds, seed)
+        assert _restart_outcome(_kmeans_restart, pts, n_folds, seed) == expected, seed
+        lost += expected is None
+    assert lost > 0
+
+
+def test_kmeans_restart_loses_a_cluster_in_the_same_lloyd_step():
+    # k-means++ seeds five distinct points on this line and the second Lloyd
+    # step empties a cluster, so the error comes from the loop.
+    x = [0.0, 0.002, 1.008, 2.007, 3.006, 4.006, 7.01, 7.004, 10.008, 10.007, 11.001,
+         14.002, 16.001]
+    pts = np.column_stack([x, np.zeros(len(x))])
+    assert _restart_outcome(_seeding_step, pts, 5, 8124) is not None
+    assert _restart_outcome(_hundred_iterations, pts, 5, 8124) is None
+    assert _restart_outcome(_kmeans_restart, pts, 5, 8124) is None
 
 
 # ---------------------------------------------------------------------------

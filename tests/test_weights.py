@@ -184,3 +184,11 @@ def test_read_neighbor_csv_duplicate_edge(tmp_path):
     path.write_text("from,to,weight\nA,B,1.0\nA,B,0.5\n")
     with pytest.raises(ParseError):
         read_neighbor_csv(path, ("A", "B"))
+
+
+def test_read_neighbor_csv_refuses_more_locations_than_dense_limit(tmp_path):
+    path = tmp_path / "edges.csv"
+    path.write_text("from,to,weight\n")
+    ids = tuple(str(i) for i in range(4097))
+    with pytest.raises(ValidationError, match="dense weight matrix limit"):
+        read_neighbor_csv(path, ids)
