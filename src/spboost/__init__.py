@@ -79,7 +79,6 @@ from .pipeline import (
     FitResult,
     build_fold_plan,
     fit_model,
-    select_m_opt,
     standardize_regressors,
     whiten,
 )
@@ -127,7 +126,7 @@ __all__ = [
     "FoldKind", "FoldPlan", "make_spatial_folds", "make_time_folds",
     "boost_cv_curve", "choose_stopping_iteration",
     # pipeline
-    "FitResult", "fit_model", "select_m_opt", "whiten", "build_fold_plan",
+    "FitResult", "fit_model", "whiten", "build_fold_plan",
     "standardize_regressors",
     # simulation
     "DgpConfig", "generate_panel", "evaluate_selection", "evaluate_mse",

@@ -94,8 +94,9 @@ def _boost_path(
     """Run the componentwise updates on plain arrays.
 
     Returns (coefficients, selection_path, increments, risk_path,
-    heldout_risk_path).  ``active`` is a boolean mask of selectable columns;
-    identically zero columns are dropped from it with a warning.  When
+    heldout_risk_path, dead).  ``active`` is a boolean mask of selectable
+    columns; identically zero columns are dropped from it with a warning and
+    flagged in the boolean mask ``dead``.  When
     ``heldout`` is given, the held-out risk is tracked incrementally after
     every iteration (entry 0 is the risk of the zero model).
     """
@@ -147,7 +148,7 @@ def _boost_path(
             eta_out += step * z_out[:, j]
             d_out = y_out - eta_out
             risk_out[m + 1] = (d_out @ d_out) / y_out.shape[0]
-    return coef, selection, increments, risk, risk_out
+    return coef, selection, increments, risk, risk_out, dead
 
 
 def boost(
@@ -185,10 +186,7 @@ def boost(
         if not active.any():
             raise NoLearnerError("active column set is empty")
 
-    norms2 = np.einsum("ij,ij->j", td.design, td.design)
-    dead_mask = (norms2 == 0.0) & (np.ones_like(norms2, bool) if active is None else active)
-    excluded = tuple(td.names[i] for i in np.nonzero(dead_mask)[0])
-    coef, selection, increments, risk, _ = _boost_path(
+    coef, selection, increments, risk, _, dead = _boost_path(
         td.response, td.design, config.learning_rate, n_iterations, active=active
     )
     return BoostFit(
@@ -198,7 +196,7 @@ def boost(
         increments=increments,
         risk_path=risk,
         learning_rate=config.learning_rate,
-        excluded=excluded,
+        excluded=tuple(td.names[i] for i in np.nonzero(dead)[0]),
     )
 
 

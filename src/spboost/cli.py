@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 import time
@@ -19,23 +20,24 @@ import numpy as np
 
 from . import __version__
 from .boosting import BoostConfig
-from .crossval import FoldKind
+from .crossval import FoldKind, boost_cv_curve, choose_stopping_iteration
 from .errors import EstimationError, ValidationError
-from .gmm import estimate_variance_components
-from .panel import ModelSpec, augment_design, read_panel_csv
-from .pipeline import build_fold_plan, fit_model, select_m_opt, standardize_regressors, whiten
+from .panel import ModelSpec, read_panel_csv
+from .pipeline import build_fold_plan, fit_model, prepare, standardize_regressors
 from .report import (
     components_payload,
+    cross_validation_payload,
     file_sha256,
     fit_payload,
     metrics_payload,
     tool_stamp,
     write_csv,
+    write_cv_curve,
     write_fit_reports,
     write_json,
     write_metrics_reports,
 )
-from .simulate import METHODS, DgpConfig, run_experiment
+from .simulate import DgpConfig, run_experiment
 from .weights import build_knn_weights, read_centroid_csv, read_neighbor_csv, row_normalize
 
 THREADS_ENV = "SPBOOST_THREADS"
@@ -148,7 +150,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_inputs(args):
-    """Panel, weights, and the provenance block shared by fit/cv/transform."""
+    """Panel, weights, provenance block, model spec and boosting config.
+
+    The set-up shared by fit, cv and transform, ``--standardize`` included.
+    """
     data = read_panel_csv(args.panel)
     inputs = {"panel": {"path": args.panel, "sha256": file_sha256(args.panel)}}
     if args.centroids is not None:
@@ -171,16 +176,16 @@ def _load_inputs(args):
             "sha256": file_sha256(args.weights),
             "row_normalized": bool(args.row_normalize),
         }
-    return data, weights, inputs
-
-
-def _model_spec(args) -> ModelSpec:
-    return ModelSpec(
+    if args.standardize:
+        data = standardize_regressors(data)
+    spec = ModelSpec(
         family=args.family,
         effects=args.effects,
         include_spatial_lags=not args.no_spatial_lags,
         include_intercept=not args.no_intercept,
     )
+    config = BoostConfig(learning_rate=args.learning_rate, m_stop=args.mstop_budget)
+    return data, weights, inputs, spec, config
 
 
 def _flags_echo(args, skip=("command",)) -> dict:
@@ -191,11 +196,7 @@ def _flags_echo(args, skip=("command",)) -> dict:
 
 def cmd_fit(args) -> int:
     start = time.time()
-    data, weights, inputs = _load_inputs(args)
-    if args.standardize:
-        data = standardize_regressors(data)
-    spec = _model_spec(args)
-    config = BoostConfig(learning_rate=args.learning_rate, m_stop=args.mstop_budget)
+    data, weights, inputs, spec, config = _load_inputs(args)
     result = fit_model(
         data,
         weights,
@@ -224,14 +225,11 @@ def cmd_fit(args) -> int:
 
 def cmd_cv(args) -> int:
     start = time.time()
-    data, weights, inputs = _load_inputs(args)
-    if args.standardize:
-        data = standardize_regressors(data)
-    spec = _model_spec(args)
-    config = BoostConfig(learning_rate=args.learning_rate, m_stop=args.mstop_budget)
-    design = augment_design(data, weights, spec)
+    data, weights, inputs, spec, config = _load_inputs(args)
     plan = build_fold_plan(data, FoldKind(args.cv), args.folds, args.seed)
-    m_opt, curve = select_m_opt(data, design, weights, spec, config, plan)
+    _, _, td = prepare(data, weights, spec, config, plan)
+    curve = boost_cv_curve(td.response, td.design, plan, config)
+    m_opt = choose_stopping_iteration(curve)
     os.makedirs(args.out_dir, exist_ok=True)
     payload = {
         "tool": tool_stamp(),
@@ -239,40 +237,21 @@ def cmd_cv(args) -> int:
         "seed": args.seed,
         "parameters": _flags_echo(args),
         "inputs": inputs,
-        "cross_validation": {
-            "kind": plan.kind.value,
-            "n_folds": plan.n_folds,
-            "m_opt": m_opt,
-            "curve": [float(v) for v in curve],
-        },
+        "cross_validation": cross_validation_payload(plan, m_opt, curve),
         "timing_seconds": time.time() - start,
     }
     write_json(os.path.join(args.out_dir, "cv.json"), payload)
-    write_csv(
-        os.path.join(args.out_dir, "cv_curve.csv"),
-        ["m", "cv_risk"],
-        [(m, float(v)) for m, v in enumerate(curve)],
-    )
+    write_cv_curve(args.out_dir, curve)
     return 0
 
 
 def cmd_transform(args) -> int:
     start = time.time()
-    data, weights, inputs = _load_inputs(args)
-    if args.standardize:
-        data = standardize_regressors(data)
-    spec = _model_spec(args)
-    config = BoostConfig(learning_rate=args.learning_rate, m_stop=args.mstop_budget)
-    design = augment_design(data, weights, spec)
-    # fit's folds, so boosted preliminary residuals whiten alike; without
-    # centroids, where fit refuses spatial folds, keep leave-time-out ones
-    plan = None
-    if data.centroids is not None or args.cv == "time":
-        plan = build_fold_plan(data, FoldKind(args.cv), args.folds, args.seed)
-    components = estimate_variance_components(
-        data, design, weights, spec, config=config, cv_plan=plan
-    )
-    td = whiten(data, design, weights, spec, components)
+    data, weights, inputs, spec, config = _load_inputs(args)
+    # fit's fold plan, so that boosted preliminary residuals whiten alike;
+    # built only on that route, since least-squares residuals need none
+    plan = functools.partial(build_fold_plan, data, FoldKind(args.cv), args.folds, args.seed)
+    _, components, td = prepare(data, weights, spec, config, plan)
     os.makedirs(args.out_dir, exist_ok=True)
     payload = {
         "tool": tool_stamp(),
@@ -305,9 +284,6 @@ def cmd_transform(args) -> int:
 def cmd_simulate(args) -> int:
     start = time.time()
     methods = tuple(s.strip() for s in args.methods.split(",") if s.strip())
-    unknown = [s for s in methods if s not in METHODS]
-    if unknown:
-        raise ValidationError(f"unknown methods {unknown}; choose from {METHODS}")
     cfg = DgpConfig(
         n_locations=args.n,
         n_periods=args.t,

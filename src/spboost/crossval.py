@@ -174,7 +174,7 @@ def boost_cv_curve(
     def one_fold(f: int) -> np.ndarray:
         train = plan.assignment != f
         test = ~train
-        _, _, _, _, heldout_risk = _boost_path(
+        _, _, _, _, heldout_risk, _ = _boost_path(
             y[train],
             z[train],
             config.learning_rate,

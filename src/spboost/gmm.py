@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -139,7 +140,7 @@ def initial_residuals(
     design: AugmentedDesign,
     weights: SpatialWeights,
     config: BoostConfig | None = None,
-    cv_plan: FoldPlan | None = None,
+    cv_plan: FoldPlan | Callable[[], FoldPlan] | None = None,
 ) -> ResidualTriple:
     """Preliminary residuals for the moment conditions, with spatial lags.
 
@@ -147,7 +148,9 @@ def initial_residuals(
     observation count; otherwise (or when the design is rank deficient)
     falls back to componentwise boosting with cross-validated early
     stopping on the untransformed data.  Consistency, not efficiency, is
-    all the moment conditions need from this step.
+    all the moment conditions need from this step.  ``cv_plan`` may be a
+    zero-argument callable, called only on the boosted route; without a
+    plan, boosting uses leave-time-out folds.
     """
     y = data.response
     z = design.columns
@@ -168,10 +171,11 @@ def initial_residuals(
             resid = y - z @ coef
     if use_boosting:
         cfg = config or BoostConfig()
-        plan = cv_plan or make_time_folds(data.n_locations, data.n_periods)
+        plan = cv_plan() if callable(cv_plan) else cv_plan
+        plan = plan or make_time_folds(data.n_locations, data.n_periods)
         curve = boost_cv_curve(y, z, plan, cfg)
         m_opt = choose_stopping_iteration(curve)
-        coef, _, _, _, _ = _boost_path(y, z, cfg.learning_rate, m_opt)
+        coef = _boost_path(y, z, cfg.learning_rate, m_opt)[0]
         resid = y - z @ coef
 
     lag1 = spatial_lag(resid, weights, data.n_periods)
@@ -241,11 +245,16 @@ def location_effect_moment_system(
     return _moment_system(triple, weights, projector, scale, "location_effect")
 
 
-def _profile_sigma(system: MomentSystem, rho: float) -> float:
-    """Non-negative closed-form sigma^2 minimizing the residual at this rho."""
+def _closed_form_sigma(system: MomentSystem, rho: float) -> float:
+    """Least-squares sigma^2 at fixed rho, before the sigma^2 >= 0 clamp."""
     c = system.matrix[:, 2]
     rhs = system.vector - system.matrix[:, 0] * rho - system.matrix[:, 1] * rho * rho
-    return max(float((c @ rhs) / (c @ c)), 0.0)
+    return float((c @ rhs) / (c @ c))
+
+
+def _profile_sigma(system: MomentSystem, rho: float) -> float:
+    """Non-negative closed-form sigma^2 minimizing the residual at this rho."""
+    return max(_closed_form_sigma(system, rho), 0.0)
 
 
 def _profiled_global_minimum(system: MomentSystem) -> tuple[float, float, float]:
@@ -299,10 +308,8 @@ def _profiled_global_minimum(system: MomentSystem) -> tuple[float, float, float]
 
 
 def _solve_sigma_given_rho(system: MomentSystem, rho: float) -> tuple[float, bool]:
-    """Closed-form least squares for sigma^2 with rho held fixed."""
-    c = system.matrix[:, 2]
-    rhs = system.vector - system.matrix[:, 0] * rho - system.matrix[:, 1] * rho * rho
-    sigma2 = float((c @ rhs) / (c @ c))
+    """Closed-form sigma^2 with rho held fixed, clamped at zero with a warning."""
+    sigma2 = _closed_form_sigma(system, rho)
     clamped = sigma2 < 0.0
     if clamped:
         warnings.warn(
@@ -475,17 +482,7 @@ def solve_moment_system(system: MomentSystem, fixed_rho: float | None = None) ->
     sigma2 = float(p[1])
     if sigma2 == 0.0:
         # re-run the closed form to see whether zero is a clamp or a solution
-        unclamped = float(
-            (system.matrix[:, 2] @ (system.vector - system.matrix[:, 0] * p[0]
-                                    - system.matrix[:, 1] * p[0] ** 2))
-            / (system.matrix[:, 2] @ system.matrix[:, 2])
-        )
-        if unclamped < 0:
-            sigma_clamped = True
-            warnings.warn(
-                f"negative variance estimate {unclamped:.6g} clamped to zero "
-                f"({system.target} moments)"
-            )
+        _, sigma_clamped = _solve_sigma_given_rho(system, float(p[0]))
     return MomentSolution(
         rho=float(p[0]),
         sigma2=sigma2,

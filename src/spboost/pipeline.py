@@ -11,8 +11,10 @@ the whole procedure deterministic given a seed.
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -47,14 +49,7 @@ def standardize_regressors(data: PanelDataset) -> PanelDataset:
         bad = [data.regressor_names[i] for i in np.nonzero(flat)[0][:5]]
         warnings.warn(f"constant column(s) left unstandardized: {bad}")
     scaled = np.where(flat, x, (x - mean) / np.where(flat, 1.0, sd))
-    return PanelDataset(
-        response=data.response,
-        regressors=scaled,
-        regressor_names=data.regressor_names,
-        location_ids=data.location_ids,
-        period_ids=data.period_ids,
-        centroids=data.centroids,
-    )
+    return dataclasses.replace(data, regressors=scaled)
 
 
 def build_fold_plan(
@@ -85,28 +80,25 @@ def whiten(
     return transform_random(data, design, op)
 
 
-def select_m_opt(
+def prepare(
     data: PanelDataset,
-    design: AugmentedDesign,
     weights: SpatialWeights,
     spec: ModelSpec,
     config: BoostConfig,
-    plan: FoldPlan,
-    threads: int = 1,
-) -> tuple[int, np.ndarray]:
-    """Cross-validated stopping iteration for boosting.
+    plan: FoldPlan | Callable[[], FoldPlan],
+) -> tuple[AugmentedDesign, VarianceComponents, TransformedData]:
+    """The stages before boosting: design, variance components, whitening.
 
-    Estimates the variance parameters once on the full sample, whitens
-    once, then evaluates held-out risk per fold along the boosting path.
-    Returns the minimizing iteration (ties to the smaller count) and the
-    fold-averaged risk curve indexed 0..m_stop.  ``threads`` is ignored.
+    The variance parameters are estimated once on the full sample from
+    preliminary residuals and the data whitened once.  ``plan`` is the fold
+    plan for boosted preliminary residuals, or a zero-argument callable
+    that builds it only when they are boosted.
     """
+    design = augment_design(data, weights, spec)
     components = estimate_variance_components(
         data, design, weights, spec, config=config, cv_plan=plan
     )
-    td = whiten(data, design, weights, spec, components)
-    curve = boost_cv_curve(td.response, td.design, plan, config)
-    return choose_stopping_iteration(curve), curve
+    return design, components, whiten(data, design, weights, spec, components)
 
 
 @dataclass(frozen=True)
@@ -155,7 +147,6 @@ def fit_model(
     deselect_threshold: float | None = 0.01,
     baseline: bool = False,
     threads: int = 1,
-    standardize: bool = False,
 ) -> FitResult:
     """Full estimation pass over one panel.
 
@@ -164,14 +155,8 @@ def fit_model(
     under-determined design marks it unavailable instead of failing the run.
     ``threads`` is ignored; folds run serially.
     """
-    if standardize:
-        data = standardize_regressors(data)
-    design = augment_design(data, weights, spec)
     plan = build_fold_plan(data, cv_kind, n_folds, seed)
-    components = estimate_variance_components(
-        data, design, weights, spec, config=config, cv_plan=plan
-    )
-    td = whiten(data, design, weights, spec, components)
+    design, components, td = prepare(data, weights, spec, config, plan)
     curve = boost_cv_curve(td.response, td.design, plan, config)
     m_opt = choose_stopping_iteration(curve)
     fit = boost(td, config, n_iterations=m_opt)

@@ -17,6 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import __version__
+from .crossval import FoldPlan
 from .gmm import VarianceComponents
 from .pipeline import FitResult
 from .simulate import SimulationMetrics
@@ -46,6 +47,15 @@ def components_payload(vc: VarianceComponents) -> dict:
     }
 
 
+def cross_validation_payload(plan: FoldPlan, m_opt: int, curve: np.ndarray) -> dict:
+    return {
+        "kind": plan.kind.value,
+        "n_folds": plan.n_folds,
+        "m_opt": m_opt,
+        "curve": [float(v) for v in curve],
+    }
+
+
 def fit_payload(result: FitResult) -> dict:
     """JSON-ready dict for a FitResult (no timing, no inputs)."""
     des = result.deselection
@@ -58,12 +68,9 @@ def fit_payload(result: FitResult) -> dict:
         },
         "variance_components": components_payload(result.components),
         "transform_fingerprint": result.transformed.fingerprint,
-        "cross_validation": {
-            "kind": result.fold_plan.kind.value,
-            "n_folds": result.fold_plan.n_folds,
-            "m_opt": result.m_opt,
-            "curve": [float(v) for v in result.cv_curve],
-        },
+        "cross_validation": cross_validation_payload(
+            result.fold_plan, result.m_opt, result.cv_curve
+        ),
         "boosting": {
             "learning_rate": result.fit.learning_rate,
             "m_used": result.fit.m_used,
@@ -88,11 +95,7 @@ def fit_payload(result: FitResult) -> dict:
             },
         }
     coeffs = []
-    des_coefs = None
-    if des is not None:
-        des_coefs = (
-            des.refit.coefficients if des.refit is not None else np.zeros(len(result.names))
-        )
+    des_coefs = None if des is None else result.coefficients("des")
     for i, name in enumerate(result.names):
         row = {"name": name, "ltb": float(result.fit.coefficients[i])}
         if des_coefs is not None:
@@ -165,12 +168,7 @@ def _cell(v) -> str:
 
 def write_fit_reports(out_dir: str, result: FitResult) -> None:
     """coefficients.csv, cv_curve.csv, and risk_path.csv for a fit."""
-    des = result.deselection
-    des_coefs = None
-    if des is not None:
-        des_coefs = (
-            des.refit.coefficients if des.refit is not None else np.zeros(len(result.names))
-        )
+    des_coefs = None if result.deselection is None else result.coefficients("des")
     header = ["name", "ltb", "selected_ltb"]
     if des_coefs is not None:
         header += ["des", "selected_des"]
@@ -185,15 +183,19 @@ def write_fit_reports(out_dir: str, result: FitResult) -> None:
             row += [float(result.baseline[i])]
         rows.append(row)
     write_csv(os.path.join(out_dir, "coefficients.csv"), header, rows)
-    write_csv(
-        os.path.join(out_dir, "cv_curve.csv"),
-        ["m", "cv_risk"],
-        [(m, float(v)) for m, v in enumerate(result.cv_curve)],
-    )
+    write_cv_curve(out_dir, result.cv_curve)
     write_csv(
         os.path.join(out_dir, "risk_path.csv"),
         ["m", "risk"],
         [(m, float(v)) for m, v in enumerate(result.fit.risk_path)],
+    )
+
+
+def write_cv_curve(out_dir: str, curve: np.ndarray) -> None:
+    write_csv(
+        os.path.join(out_dir, "cv_curve.csv"),
+        ["m", "cv_risk"],
+        [(m, float(v)) for m, v in enumerate(curve)],
     )
 
 

@@ -8,6 +8,7 @@ import shutil
 import numpy as np
 import pytest
 
+import spboost.pipeline
 from spboost.cli import THREADS_ENV, build_parser, main
 from spboost.panel import write_panel_csv
 from spboost.simulate import DgpConfig, generate_panel
@@ -338,6 +339,62 @@ def test_fit_and_transform_whiten_alike_with_boosted_residuals(tmp_path):
     tr = load_json(tmp_path / "tr" / "transform.json")
     assert tr["transform_fingerprint"] == fit["transform_fingerprint"]
     assert tr["variance_components"] == fit["variance_components"]
+
+
+def test_cv_matches_fit_cross_validation(panel_files, tmp_path):
+    panel, centroids = panel_files
+    args = fit_args(panel, centroids, tmp_path / "fit", "--standardize")
+    assert main(args) == 0
+    assert main(["cv", *fit_args(panel, centroids, tmp_path / "cv", "--standardize")[1:]]) == 0
+    fit = load_json(tmp_path / "fit" / "report.json")
+    cv = load_json(tmp_path / "cv" / "cv.json")
+    assert cv["cross_validation"] == fit["cross_validation"]
+    with open(tmp_path / "fit" / "cv_curve.csv") as a, open(tmp_path / "cv" / "cv_curve.csv") as b:
+        assert a.read() == b.read()
+
+
+def test_low_dimensional_transform_matches_fit_without_fold_plan(
+    panel_files, tmp_path, monkeypatch
+):
+    # least-squares preliminary residuals use no folds, so transform must
+    # not pay for the k-means plan that fit needs for its CV curve
+    panel, centroids = panel_files
+    assert main(fit_args(panel, centroids, tmp_path / "fit")) == 0
+    calls = []
+    real = spboost.pipeline.make_spatial_folds
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spboost.pipeline, "make_spatial_folds", counting)
+    assert main(["transform", *fit_args(panel, centroids, tmp_path / "tr")[1:]]) == 0
+    assert calls == []
+    fit = load_json(tmp_path / "fit" / "report.json")
+    tr = load_json(tmp_path / "tr" / "transform.json")
+    assert tr["transform_fingerprint"] == fit["transform_fingerprint"]
+    assert tr["variance_components"] == fit["variance_components"]
+
+
+def test_transform_refuses_spatial_cv_without_centroids_like_fit(tmp_path, capsys):
+    # k >= 0.8 NT: boosted preliminary residuals need fit's spatial folds,
+    # which neighbour-list weights without centroids cannot provide
+    cfg = DgpConfig(
+        n_locations=60, n_periods=4, n_candidates=200, knn_k=5, seed=1, n_replications=1
+    )
+    data, _ = generate_panel(cfg, 0)
+    panel = tmp_path / "panel.csv"
+    neighbours = tmp_path / "edges.csv"
+    write_panel_csv(panel, data)
+    write_ring_edges(neighbours, 60)
+    common = ["--panel", str(panel), "--weights", str(neighbours), "--row-normalize"]
+    for command in ("fit", "transform"):
+        assert main([command, *common, "--out-dir", str(tmp_path / command)]) == 2
+        assert "spatial cross-validation needs location centroids" in capsys.readouterr().err
+    out = tmp_path / "time"
+    args = ["transform", *common, "--cv", "time", "--mstop-budget", "50", "--out-dir", str(out)]
+    assert main(args) == 0
+    assert load_json(out / "transform.json")["transform_fingerprint"]
 
 
 # ---------------------------------------------------------------------------

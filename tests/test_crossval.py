@@ -18,8 +18,8 @@ from spboost.crossval import (
     make_time_folds,
 )
 from spboost.errors import ValidationError
-from spboost.panel import ModelSpec, augment_design
-from spboost.pipeline import build_fold_plan, select_m_opt
+from spboost.panel import ModelSpec
+from spboost.pipeline import build_fold_plan, prepare
 from spboost.transform import TransformedData
 from spboost.panel import Effects
 
@@ -303,11 +303,16 @@ def test_choose_stopping_iteration_prefers_smaller_m():
 def test_select_m_opt_is_deterministic():
     data = make_panel(20, 3, 2, seed=15, noise=0.5)
     w, _ = make_weights(20, seed=15, k=3)
-    design = augment_design(data, w, ModelSpec())
     plan = build_fold_plan(data, FoldKind.SPATIAL, 2, seed=21)
     cfg = BoostConfig(m_stop=40)
-    m1, curve1 = select_m_opt(data, design, w, ModelSpec(), cfg, plan)
-    m2, curve2 = select_m_opt(data, design, w, ModelSpec(), cfg, plan)
+
+    def select_m_opt():
+        _, _, td = prepare(data, w, ModelSpec(), cfg, plan)
+        curve = boost_cv_curve(td.response, td.design, plan, cfg)
+        return choose_stopping_iteration(curve), curve
+
+    m1, curve1 = select_m_opt()
+    m2, curve2 = select_m_opt()
     assert m1 == m2
     assert np.array_equal(curve1, curve2)
     assert curve1.shape == (41,)

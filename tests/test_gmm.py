@@ -318,6 +318,7 @@ def test_clamped_minimum_does_not_stall():
             solution = solve_moment_system(system)
         assert solution.converged
         assert solution.sigma2 == 0.0
+        assert solution.sigma_clamped  # the unclamped closed form is negative
         # nothing on a fine grid of feasible points does better
         for rho in np.linspace(-0.999, 0.999, 1999):
             for sigma2 in (0.0, solution.sigma2, 0.05, 0.5):
