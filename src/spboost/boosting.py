@@ -7,6 +7,16 @@ squares; ties go to the lower column index), and moves the fit a fraction
 ``learning_rate`` of the way toward that univariate solution.  The
 empirical risk ||y - eta||^2 / n is recorded after every iteration.
 
+Two kernels run these updates.  The coefficient path (``boost``, the
+deselection refit and the preliminary residuals) recomputes the
+correlations ``Z'r`` from the residual every iteration.  The
+cross-validation curve, which runs ``m_stop`` iterations in every fold,
+uses the identity ``Z'(r - s z_j) = Z'r - s G[:, j]`` instead, with the
+Gram column ``G[:, j] = Z'z_j`` computed once per distinct selected column,
+so an iteration costs O(k) rather than O(n k).  Its held-out risks may
+therefore differ from a replay of ``boost`` by rounding, while the
+coefficients always come from the direct path.
+
 Deselection afterwards attributes the total risk reduction to columns: a
 column keeps its place only when its attributable share reaches the
 threshold fraction of the total, and the model is re-boosted on the
@@ -82,27 +92,16 @@ class DeselectionResult:
     refit: BoostFit | None
 
 
-def _boost_path(
-    response: np.ndarray,
-    design: np.ndarray,
-    learning_rate: float,
-    n_iterations: int,
-    active: np.ndarray | None = None,
-    heldout: tuple[np.ndarray, np.ndarray] | None = None,
-    warn_label: str | None = None,
-):
-    """Run the componentwise updates on plain arrays.
+def _screen_columns(
+    z: np.ndarray, active: np.ndarray | None, warn_label: str | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Inverse squared column norms, the selectable mask and the dead mask.
 
-    Returns (coefficients, selection_path, increments, risk_path,
-    heldout_risk_path, dead).  ``active`` is a boolean mask of selectable
-    columns; identically zero columns are dropped from it with a warning and
-    flagged in the boolean mask ``dead``.  When
-    ``heldout`` is given, the held-out risk is tracked incrementally after
-    every iteration (entry 0 is the risk of the zero model).
+    Identically zero columns among ``active`` (all columns when None) are
+    dropped from the selectable mask with a warning naming ``warn_label``;
+    their inverse norm is 0.
     """
-    y = np.asarray(response, dtype=float)
-    z = np.asarray(design, dtype=float)
-    n, k = z.shape
+    k = z.shape[1]
     selectable = np.ones(k, dtype=bool) if active is None else active.copy()
     norms2 = np.einsum("ij,ij->j", z, z)
     dead = selectable & (norms2 == 0.0)
@@ -115,6 +114,30 @@ def _boost_path(
         selectable &= ~dead
     if not selectable.any():
         raise NoLearnerError("no usable candidate column: all are identically zero")
+    inv_norms2 = np.zeros(k)
+    inv_norms2[selectable] = 1.0 / norms2[selectable]
+    return inv_norms2, selectable, dead
+
+
+def _boost_path(
+    response: np.ndarray,
+    design: np.ndarray,
+    learning_rate: float,
+    n_iterations: int,
+    active: np.ndarray | None = None,
+):
+    """Run the componentwise updates on plain arrays.
+
+    Returns (coefficients, selection_path, increments, risk_path, dead).
+    ``active`` is a boolean mask of selectable columns; identically zero
+    columns are dropped from it with a warning and flagged in the boolean
+    mask ``dead``.  The correlations ``Z'r`` are recomputed from the residual
+    every iteration, so the coefficients carry no accumulated rounding.
+    """
+    y = np.asarray(response, dtype=float)
+    z = np.asarray(design, dtype=float)
+    n, k = z.shape
+    inv_norms2, selectable, dead = _screen_columns(z, active)
 
     resid = y.copy()
     coef = np.zeros(k)
@@ -122,17 +145,7 @@ def _boost_path(
     increments = np.empty(n_iterations)
     risk = np.empty(n_iterations + 1)
     risk[0] = (resid @ resid) / n
-    if heldout is not None:
-        y_out, z_out = heldout
-        eta_out = np.zeros(y_out.shape[0])
-        risk_out = np.empty(n_iterations + 1)
-        d_out = y_out - eta_out
-        risk_out[0] = (d_out @ d_out) / y_out.shape[0]
-    else:
-        risk_out = None
 
-    inv_norms2 = np.zeros(k)
-    inv_norms2[selectable] = 1.0 / norms2[selectable]
     neg_inf = np.full(k, -np.inf)
     for m in range(n_iterations):
         corr = z.T @ resid
@@ -144,11 +157,47 @@ def _boost_path(
         selection[m] = j
         increments[m] = step
         risk[m + 1] = (resid @ resid) / n
-        if risk_out is not None:
-            eta_out += step * z_out[:, j]
-            d_out = y_out - eta_out
-            risk_out[m + 1] = (d_out @ d_out) / y_out.shape[0]
-    return coef, selection, increments, risk, risk_out, dead
+    return coef, selection, increments, risk, dead
+
+
+def _cv_risk_path(
+    response: np.ndarray,
+    design: np.ndarray,
+    heldout_response: np.ndarray,
+    heldout_design: np.ndarray,
+    learning_rate: float,
+    n_iterations: int,
+    warn_label: str,
+) -> np.ndarray:
+    """Held-out mean squared error after each of ``n_iterations`` updates.
+
+    Selects as ``_boost_path`` does on the training arrays, up to rounding,
+    but updates the correlations through Gram columns ``Z'z_j``, computed
+    the first time column j is selected (see the module docstring), and
+    never forms the training residual; the held-out residual takes each
+    step directly.  An iteration costs O(k + n_out), plus O(n k) once per
+    distinct selected column.  Entry 0 is the risk of the zero model.
+    """
+    z = np.asarray(design, dtype=float)
+    k = z.shape[1]
+    inv_norms2, selectable, _ = _screen_columns(z, None, warn_label)
+    neg_inf = np.full(k, -np.inf)
+
+    corr = z.T @ np.asarray(response, dtype=float)
+    gram: dict[int, np.ndarray] = {}
+    d_out = np.array(heldout_response, dtype=float)
+    risk_out = np.empty(n_iterations + 1)
+    risk_out[0] = (d_out @ d_out) / d_out.shape[0]
+    for m in range(n_iterations):
+        scores = np.where(selectable, corr * corr * inv_norms2, neg_inf)
+        j = int(np.argmax(scores))
+        step = learning_rate * corr[j] * inv_norms2[j]
+        if j not in gram:
+            gram[j] = z.T @ z[:, j]
+        corr -= step * gram[j]
+        d_out -= step * heldout_design[:, j]
+        risk_out[m + 1] = (d_out @ d_out) / d_out.shape[0]
+    return risk_out
 
 
 def boost(
@@ -186,7 +235,7 @@ def boost(
         if not active.any():
             raise NoLearnerError("active column set is empty")
 
-    coef, selection, increments, risk, _, dead = _boost_path(
+    coef, selection, increments, risk, dead = _boost_path(
         td.response, td.design, config.learning_rate, n_iterations, active=active
     )
     return BoostFit(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.cluster.vq import ClusterError, kmeans2
 
-from .boosting import BoostConfig, _boost_path
+from .boosting import BoostConfig, _cv_risk_path
 from .errors import DegenerateGeometryError, ValidationError
 
 KMEANS_RESTARTS = 50
@@ -165,6 +165,12 @@ def boost_cv_curve(
     that are identically zero within a fold are excluded for that fold only.
     ``threads`` is ignored: folds run serially, since the fits hold the GIL
     and a thread pool was slower.
+
+    Each fold updates the training correlations through cached Gram
+    columns, ``Z'r <- Z'r - step * Z'z_j``, and never forms the training
+    residual (see ``boosting``).  The curve therefore equals a fold-by-fold
+    replay of ``boost`` on the training rows up to rounding only; the
+    coefficients of a fit come from the direct path.
     """
     y = np.asarray(response, dtype=float)
     z = np.asarray(design, dtype=float)
@@ -174,15 +180,15 @@ def boost_cv_curve(
     def one_fold(f: int) -> np.ndarray:
         train = plan.assignment != f
         test = ~train
-        _, _, _, _, heldout_risk, _ = _boost_path(
+        return _cv_risk_path(
             y[train],
             z[train],
+            y[test],
+            z[test],
             config.learning_rate,
             config.m_stop,
-            heldout=(y[test], z[test]),
             warn_label=f"fold {f} training data",
         )
-        return heldout_risk
 
     return np.mean([one_fold(f) for f in range(plan.n_folds)], axis=0)
 

@@ -259,6 +259,102 @@ def test_cv_curve_matches_brute_force_two_fold(rng):
     assert np.allclose(curve, expected, atol=1e-12)
 
 
+def boost_replay(y, z, plan, cfg, excluded=None):
+    """The CV curve replayed fold by fold from boost() on the training rows.
+
+    ``excluded`` maps a fold to the column indices its boost leaves out.
+    Returns the fold-averaged held-out risk and each fold's BoostFit.
+    """
+    excluded = excluded or {}
+    fits, fold_curves = [], []
+    for f in range(plan.n_folds):
+        train = plan.assignment != f
+        test = ~train
+        td = make_td(y[train], z[train])
+        active = None
+        if f in excluded:
+            active = [c for i, c in enumerate(td.names) if i not in excluded[f]]
+        fit = boost(td, cfg, active_columns=active)
+        steps = z[test][:, fit.selection_path] * fit.increments
+        resid = y[test][:, None] - np.cumsum(steps, axis=1)
+        risks = np.concatenate([[np.mean(y[test] ** 2)], np.mean(resid**2, axis=0)])
+        fits.append(fit)
+        fold_curves.append(risks)
+    return np.mean(fold_curves, axis=0), fits
+
+
+def random_fold_plan(rng, n, t, n_folds):
+    labels = np.arange(n) % n_folds
+    rng.shuffle(labels)
+    return FoldPlan(FoldKind.SPATIAL, n_folds, np.tile(labels, t), n, t)
+
+
+@pytest.mark.parametrize(
+    "n, t, k, m_stop",
+    [(40, 5, 8, 200), (12, 3, 80, 300), (20, 3, 10, 2000)],
+    ids=["tall", "wide", "long"],
+)
+def test_cv_curve_matches_boost_replay_over_seeds(n, t, k, m_stop):
+    # The Gram-cached kernel updates Z'r incrementally, so it may differ from
+    # boost(), which recomputes Z'r every iteration, only by rounding.
+    cfg = BoostConfig(m_stop=m_stop)
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        z = rng.normal(size=(n * t, k))
+        beta = np.zeros(k)
+        beta[rng.choice(k, size=3, replace=False)] = rng.normal(0.0, 2.0, size=3)
+        y = z @ beta + rng.normal(size=n * t)
+        plan = random_fold_plan(rng, n, t, int(rng.integers(2, 4)))
+        curve = boost_cv_curve(y, z, plan, cfg)
+        expected, _ = boost_replay(y, z, plan, cfg)
+        assert np.max(np.abs(curve - expected) / expected) <= 1e-10, seed
+        assert choose_stopping_iteration(curve) == choose_stopping_iteration(expected), seed
+
+
+def test_cv_curve_duplicated_column_tie_goes_to_lower_index():
+    rng = np.random.default_rng(11)
+    n, t = 12, 2
+    plan = two_fold_plan(n, t)
+    z = rng.normal(size=(n * t, 5))
+    train0 = plan.assignment != 0
+    # Column 3 copies column 1 exactly in fold 0's training rows; on its
+    # held-out rows it differs, so the curve shows which copy was taken.
+    z[train0, 3] = z[train0, 1]
+    y = 2.0 * z[:, 1] + 0.3 * rng.normal(size=n * t)
+    cfg = BoostConfig(m_stop=60)
+    curve = boost_cv_curve(y, z, plan, cfg)
+    expected, fits = boost_replay(y, z, plan, cfg)
+    assert 1 in fits[0].selection_path
+    assert 3 not in fits[0].selection_path
+    assert np.max(np.abs(curve - expected) / expected) <= 1e-10
+    # Had fold 0 taken column 3, its held-out risk would differ visibly.
+    z_swapped = z.copy()
+    z_swapped[~train0, 1] = z[~train0, 3]
+    swapped, _ = boost_replay(y, z_swapped, plan, cfg)
+    assert np.max(np.abs(curve - swapped) / swapped) > 1e-3
+
+
+def test_cv_curve_excludes_column_zero_in_one_folds_training_rows():
+    rng = np.random.default_rng(12)
+    n, t = 15, 2
+    labels = np.arange(n) % 3
+    plan = FoldPlan(FoldKind.SPATIAL, 3, np.tile(labels, t), n, t)
+    z = rng.normal(size=(n * t, 4))
+    z[plan.assignment != 1, 2] = 0.0
+    y = z @ np.array([1.0, -0.5, 3.0, 0.0]) + 0.2 * rng.normal(size=n * t)
+    cfg = BoostConfig(m_stop=50)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        curve = boost_cv_curve(y, z, plan, cfg)
+    messages = [str(w.message) for w in caught if "identically zero" in str(w.message)]
+    assert len(messages) == 1
+    assert "(fold 1 training data)" in messages[0]
+    assert "indices [2]" in messages[0]
+    expected, fits = boost_replay(y, z, plan, cfg, excluded={1: [2]})
+    assert 2 in fits[0].selection_path and 2 in fits[2].selection_path
+    assert np.max(np.abs(curve - expected) / expected) <= 1e-10
+
+
 def test_cv_curve_noiseless_single_column_reaches_zero():
     rng = np.random.default_rng(8)
     n, t = 14, 2
