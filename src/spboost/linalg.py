@@ -74,9 +74,25 @@ class TimeProjector:
         return np.ascontiguousarray(out).reshape(v.shape)
 
 
+# Margin by which the off-diagonal row sums of rho * W must stay below one
+# before the filter is taken as nonsingular without an LU test; see
+# SpatialFilter.
+DOMINANCE_MARGIN = 1e-6
+
+
 @dataclass
 class SpatialFilter:
-    """The filter (I - rho * W), with a cached LU factorization for solves."""
+    """The filter (I - rho * W); its LU factorization is built on first solve.
+
+    A filter whose scaled off-diagonal row sums ``s = |rho| * max_i sum_j
+    w_ij`` stay below one is strictly diagonally dominant, hence nonsingular,
+    and every pivot of its LU factorization is at least ``1 - s`` (Varah's
+    bound holds for each Schur complement).  When ``1 - s`` exceeds
+    DOMINANCE_MARGIN, far above the relative pivot floor of 1e-14 and its
+    rounding, no factorization is needed to accept the filter; that always
+    holds for row-normalized weights with |rho| <= 0.999.  Otherwise the LU
+    is built at once and a numerically singular filter is refused.
+    """
 
     rho: float
     weights: SpatialWeights
@@ -84,16 +100,29 @@ class SpatialFilter:
     def __post_init__(self):
         if not np.isfinite(self.rho) or abs(self.rho) >= 1:
             raise ValidationError(f"spatial parameter must satisfy |rho| < 1, got {self.rho}")
-        self._matrix = np.eye(self.weights.n_locations) - self.rho * self.weights.matrix
-        try:
-            self._lu = lu_factor(self._matrix)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-            raise SingularFilterError(str(exc)) from None
-        diag = np.abs(np.diag(self._lu[0]))
-        if diag.min() <= 1e-14 * max(diag.max(), 1.0):
-            raise SingularFilterError(
-                f"filter I - {self.rho} * W is numerically singular"
-            )
+        w = self.weights.matrix
+        # 0 - rho*w and a unit diagonal: the bits of np.eye(n) - rho * w
+        # without a second n x n temporary (the diagonal of w is zero)
+        self._matrix = np.multiply(self.rho, w)
+        np.subtract(0.0, self._matrix, out=self._matrix)
+        np.fill_diagonal(self._matrix, 1.0)
+        self._lu = None
+        if 1.0 - abs(self.rho) * w.sum(axis=1).max() <= DOMINANCE_MARGIN:
+            self._factorize()
+
+    def _factorize(self):
+        if self._lu is None:
+            try:
+                lu = lu_factor(self._matrix)
+            except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
+                raise SingularFilterError(str(exc)) from None
+            diag = np.abs(np.diag(lu[0]))
+            if diag.min() <= 1e-14 * max(diag.max(), 1.0):
+                raise SingularFilterError(
+                    f"filter I - {self.rho} * W is numerically singular"
+                )
+            self._lu = lu
+        return self._lu
 
     @property
     def matrix(self) -> np.ndarray:
@@ -116,7 +145,8 @@ class SpatialFilter:
         if v.shape[0] != n * n_periods:
             raise ValidationError(f"expected {n * n_periods} rows, got {v.shape[0]}")
         cube = v.reshape(n_periods, n, -1)
-        out = np.stack([lu_solve(self._lu, block) for block in cube])
+        lu = self._factorize()
+        out = np.stack([lu_solve(lu, block) for block in cube])
         return out.reshape(v.shape)
 
 
@@ -124,10 +154,12 @@ def symmetric_sqrt(block: np.ndarray, what: str) -> np.ndarray:
     """Symmetric square root of a symmetric positive definite matrix.
 
     Refuses blocks whose smallest eigenvalue falls below a relative floor
-    instead of regularizing them silently.
+    instead of regularizing them silently.  Holds at most three n x n
+    arrays of its own at once besides ``block``.
     """
     sym = 0.5 * (block + block.T)
     eigval, eigvec = np.linalg.eigh(sym)
+    del sym
     floor = EIGENVALUE_FLOOR * max(eigval[-1], 0.0)
     if eigval[0] <= floor:
         raise ConditioningError(
@@ -182,14 +214,11 @@ class WhiteningOperator:
             raise ValidationError(f"expected {n * t} rows, got {v.shape[0]}")
         cube = v.reshape(t, n, -1)
         mean = cube.mean(axis=0)
-        deviation = cube - mean
-        dev_part = np.einsum("ij,tjk->tik", self.within_block, deviation)
+        # one BLAS product per period
+        out = self.within_block @ (cube - mean)
         if self.mode is WhitenerMode.RANDOM_GLS:
-            mean_part = self.between_block @ mean
-            out = dev_part + mean_part
-        else:
-            out = dev_part
-        return np.ascontiguousarray(out).reshape(v.shape)
+            out += self.between_block @ mean
+        return out.reshape(v.shape)
 
 
 def random_effects_whitener(
@@ -201,6 +230,11 @@ def random_effects_whitener(
     ``t * s2_loc * inv(A'A) + s2_idio * inv(B'B)`` with A and B the two
     spatial filters, and ``s2_idio * inv(B'B)`` on the within subspace.
     Both blocks are inverted and square-rooted by eigendecomposition.
+
+    No LU factorization or identity right-hand side is formed, and each
+    n x n intermediate is released once used, so at most five n x n float
+    arrays are alive at once (about 160 MB at n = 2000), the two returned
+    blocks included.
     """
     if n_periods < 2:
         raise ValidationError("random-effects whitening needs at least two periods")
@@ -210,25 +244,29 @@ def random_effects_whitener(
         raise ValidationError("random-effects whitening needs the location-effect parameters")
     if components.sigma_mu2 < 0:
         raise ValidationError("location-effect variance must be non-negative")
-    n = weights.n_locations
-    eye = np.eye(n)
-    filt_idio = SpatialFilter(components.rho2, weights)
-    bb = filt_idio.matrix.T @ filt_idio.matrix
-    bb_inv = np.linalg.solve(bb, eye)
-    between_cov = components.sigma_eps2 * bb_inv
+    bb = _filter_gram(components.rho2, weights)
+    between_cov = components.sigma_eps2 * np.linalg.inv(bb)
     if components.sigma_mu2 > 0:
-        filt_loc = SpatialFilter(components.rho1, weights)
-        aa = filt_loc.matrix.T @ filt_loc.matrix
-        aa_inv = np.linalg.solve(aa, eye)
-        between_cov = between_cov + n_periods * components.sigma_mu2 * aa_inv
-    between_inv = np.linalg.solve(0.5 * (between_cov + between_cov.T), eye)
-    within_inv = bb / components.sigma_eps2
+        loc_gram = _filter_gram(components.rho1, weights)
+        between_cov += n_periods * components.sigma_mu2 * np.linalg.inv(loc_gram)
+        del loc_gram
+    between_inv = np.linalg.inv(0.5 * (between_cov + between_cov.T))
+    del between_cov
+    between_block = symmetric_sqrt(between_inv, "between covariance block")
+    del between_inv
+    bb /= components.sigma_eps2
     return WhiteningOperator(
         mode=WhitenerMode.RANDOM_GLS,
-        between_block=symmetric_sqrt(between_inv, "between covariance block"),
-        within_block=symmetric_sqrt(within_inv, "within covariance block"),
+        between_block=between_block,
+        within_block=symmetric_sqrt(bb, "within covariance block"),
         n_periods=n_periods,
     )
+
+
+def _filter_gram(rho: float, weights: SpatialWeights) -> np.ndarray:
+    """(I - rho W)'(I - rho W), with the filter released before returning."""
+    filt = SpatialFilter(rho, weights).matrix
+    return filt.T @ filt
 
 
 def fixed_effects_whitener(
@@ -237,10 +275,9 @@ def fixed_effects_whitener(
     """Demeaning plus idiosyncratic spatial filtering for fixed effects."""
     if n_periods < 2:
         raise ValidationError("fixed-effects whitening needs at least two periods")
-    filt = SpatialFilter(components.rho2, weights)
     return WhiteningOperator(
         mode=WhitenerMode.FIXED_WITHIN,
         between_block=None,
-        within_block=filt.matrix.copy(),
+        within_block=SpatialFilter(components.rho2, weights).matrix,
         n_periods=n_periods,
     )

@@ -22,7 +22,9 @@ from .errors import (
 )
 
 # Dense (n, n) storage is used throughout; beyond this the eigendecompositions
-# needed downstream stop being practical on a workstation.
+# needed downstream stop being practical on a workstation.  A random-effects
+# fit holds at most five n x n float arrays at once while it builds the
+# whitener (about 0.67 GB at this limit), plus the weights themselves.
 DENSE_LIMIT = 4096
 
 
@@ -93,7 +95,10 @@ def build_knn_weights(centroids: np.ndarray, k: int) -> SpatialWeights:
 
     Each location is linked to its k nearest neighbours by Euclidean
     distance (equal weight 1/k each).  Distance ties are broken by the lower
-    location index so the construction is deterministic.
+    location index so the construction is deterministic: the neighbours are
+    the first k of a stable sort of each row's distances.  They are found
+    by partial selection of the k-th smallest distance instead of a full
+    sort, and at most about three n x n float arrays are alive at once.
 
     Parameters
     ----------
@@ -114,23 +119,33 @@ def build_knn_weights(centroids: np.ndarray, k: int) -> SpatialWeights:
     if not (1 <= k < n):
         raise ValidationError(f"k must satisfy 1 <= k < n_locations, got k={k}, n={n}")
 
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
-    off_diag = ~np.eye(n, dtype=bool)
-    if np.any(dist[off_diag] == 0):
-        i, j = np.argwhere((dist == 0) & off_diag)[0]
+    dist = pts[:, None, 0] - pts[None, :, 0]
+    dist *= dist
+    dy = pts[:, None, 1] - pts[None, :, 1]
+    dy *= dy
+    dist += dy
+    del dy
+    np.sqrt(dist, out=dist)
+    np.fill_diagonal(dist, np.inf)
+    dup_rows = np.flatnonzero(dist.min(axis=1) == 0)
+    if dup_rows.size:
+        i = dup_rows[0]
+        j = np.flatnonzero(dist[i] == 0)[0]
         raise DegenerateGeometryError(
             f"locations {i} and {j} have identical centroids; "
             "k-nearest-neighbour weights are undefined"
         )
-    np.fill_diagonal(dist, np.inf)
 
-    m = np.zeros((n, n))
-    rows = np.arange(n)[:, None]
-    # stable sort keeps the lower index first among equal distances
-    nearest = np.argsort(dist, axis=1, kind="stable")[:, :k]
-    m[rows, nearest] = 1.0
-    return row_normalize(SpatialWeights(m))
+    # the k-th smallest distance of each row; everything closer is taken,
+    # and the remaining places go to the lowest indices at exactly that
+    # distance, as a stable sort would order them
+    kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k].copy()
+    nearest = dist < kth
+    at_kth = dist == kth
+    del dist
+    free = k - np.count_nonzero(nearest, axis=1)
+    nearest |= at_kth & (np.cumsum(at_kth, axis=1) <= free[:, None])
+    return SpatialWeights(np.where(nearest, 1.0 / k, 0.0), row_normalized=True)
 
 
 def read_centroid_csv(path: str, location_ids: list[str] | None = None) -> tuple[list[str], np.ndarray]:

@@ -1,9 +1,11 @@
 """Blockwise operators versus dense Kronecker oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from spboost.errors import ConditioningError, ValidationError
+from spboost.errors import ConditioningError, SingularFilterError, ValidationError
 from spboost.gmm import VarianceComponents
 from spboost.linalg import (
     ProjectorKind,
@@ -14,6 +16,7 @@ from spboost.linalg import (
     random_effects_whitener,
     symmetric_sqrt,
 )
+from spboost.weights import SpatialWeights
 
 from conftest import (
     dense_between,
@@ -264,3 +267,125 @@ def test_fixed_transform_needs_two_periods():
     w, _ = make_weights(3, seed=0, k=1)
     with pytest.raises(ValidationError):
         fixed_effects_whitener(VarianceComponents(rho2=0.0, sigma_eps2=1.0), w, 1)
+
+
+# ---------------------------------------------------------------------------
+# Whitener construction against the dense-solve construction it replaced
+
+
+def reference_random_effects_blocks(components, weights, n_periods):
+    """Between and within blocks built with explicit solves, as the whitener
+    was first written; the whitener must reproduce them bit for bit."""
+    n = weights.n_locations
+    eye = np.eye(n)
+    b = eye - components.rho2 * weights.matrix
+    bb = b.T @ b
+    between_cov = components.sigma_eps2 * np.linalg.solve(bb, eye)
+    if components.sigma_mu2 > 0:
+        a = eye - components.rho1 * weights.matrix
+        aa = a.T @ a
+        loc_cov = n_periods * components.sigma_mu2 * np.linalg.solve(aa, eye)
+        between_cov = between_cov + loc_cov
+    between_inv = np.linalg.solve(0.5 * (between_cov + between_cov.T), eye)
+    return (
+        reference_symmetric_sqrt(between_inv),
+        reference_symmetric_sqrt(bb / components.sigma_eps2),
+    )
+
+
+def reference_symmetric_sqrt(block):
+    eigval, eigvec = np.linalg.eigh(0.5 * (block + block.T))
+    return (eigvec * np.sqrt(eigval)) @ eigvec.T
+
+
+def unnormalized_weights(n, seed):
+    # row sums of 1.2, so |rho| * max row sum exceeds one for |rho| > 0.84
+    # and the filter's LU test runs
+    w, _ = make_weights(n, seed=seed, k=3)
+    return SpatialWeights(1.2 * w.matrix)
+
+
+@pytest.mark.parametrize(
+    "rho1,rho2,s_mu,s_eps",
+    [
+        (0.4, -0.4, 1.3, 0.7),
+        (0.0, 0.5, 0.0, 2.0),
+        (-0.9, 0.95, 3.0, 0.1),
+        (0.999, -0.999, 0.5, 1.0),
+        (0.3, 0.3, 0.0, 1.0),
+    ],
+)
+@pytest.mark.parametrize("normalized", [True, False], ids=["row-normalized", "unnormalized"])
+def test_whitener_blocks_equal_dense_solve_construction(rho1, rho2, s_mu, s_eps, normalized):
+    n = 60
+    if normalized:
+        w, _ = make_weights(n, seed=11, k=5)
+    else:
+        w = unnormalized_weights(n, seed=11)
+    components = vc(rho1, rho2, s_mu, s_eps)
+    op = random_effects_whitener(components, w, 3)
+    between, within = reference_random_effects_blocks(components, w, 3)
+    assert op.between_block.tobytes() == between.tobytes()
+    assert op.within_block.tobytes() == within.tobytes()
+    fixed = fixed_effects_whitener(VarianceComponents(rho2=rho2, sigma_eps2=1.0), w, 3)
+    assert fixed.within_block.tobytes() == (np.eye(n) - rho2 * w.matrix).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+def test_whiteners_refuse_singular_filter():
+    # I - 0.5 W = [[1, -1], [-1, 1]] is singular; the weights are not row
+    # normalized, so the diagonal-dominance shortcut does not apply
+    w = SpatialWeights(np.array([[0.0, 2.0], [2.0, 0.0]]))
+    with pytest.raises(SingularFilterError):
+        random_effects_whitener(vc(rho1=0.0, rho2=0.5, s_mu=1.0), w, 3)
+    with pytest.raises(SingularFilterError):
+        random_effects_whitener(vc(rho1=0.5, rho2=0.0, s_mu=1.0), w, 3)
+    with pytest.raises(SingularFilterError):
+        fixed_effects_whitener(VarianceComponents(rho2=0.5, sigma_eps2=1.0), w, 3)
+    # row-normalized weights within rounding of |rho| = 1 still get the
+    # pivot test, and are refused as before
+    ring, _ = make_weights(20, seed=2, k=4)
+    with pytest.raises(SingularFilterError):
+        SpatialFilter(1 - 2.0**-50, ring)
+
+
+def einsum_apply(op, values):
+    """The whitener's application written with einsum over the periods."""
+    n, t = op.n_locations, op.n_periods
+    cube = np.asarray(values, dtype=float).reshape(t, n, -1)
+    mean = cube.mean(axis=0)
+    out = np.einsum("ij,tjk->tik", op.within_block, cube - mean)
+    if op.mode is WhitenerMode.RANDOM_GLS:
+        out = out + op.between_block @ mean
+    return out.reshape(np.shape(values))
+
+
+@pytest.mark.parametrize("mode", list(WhitenerMode))
+@pytest.mark.parametrize("shape", [(), (7,)], ids=["1-d", "2-d"])
+def test_apply_matches_einsum_reference(rng, mode, shape):
+    n, t = 150, 4
+    w, _ = make_weights(n, seed=3, k=6)
+    if mode is WhitenerMode.RANDOM_GLS:
+        op = random_effects_whitener(vc(0.4, -0.4, 1.5, 0.8), w, t)
+    else:
+        op = fixed_effects_whitener(VarianceComponents(rho2=-0.4, sigma_eps2=1.0), w, t)
+    v = rng.normal(size=(n * t, *shape))
+    got = op.apply(v)
+    want = einsum_apply(op, v)
+    assert got.shape == v.shape
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_random_effects_whitener_peak_memory():
+    n = 400
+    w, _ = make_weights(n, seed=4, k=10)
+    components = vc(0.4, -0.4, 1.0, 1.0)
+    tracemalloc.start()
+    try:
+        random_effects_whitener(components, w, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # n x n float blocks alive at once: 17 in the dense-solve construction
+    # with its LU factors and identity right-hand sides, 5 now
+    assert peak / (n * n * 8) <= 6.0
