@@ -164,7 +164,7 @@ def _cv_risk_path(
     response: np.ndarray,
     design: np.ndarray,
     heldout_response: np.ndarray,
-    heldout_design: np.ndarray,
+    heldout_columns: np.ndarray,
     learning_rate: float,
     n_iterations: int,
     warn_label: str,
@@ -175,28 +175,43 @@ def _cv_risk_path(
     but updates the correlations through Gram columns ``Z'z_j``, computed
     the first time column j is selected (see the module docstring), and
     never forms the training residual; the held-out residual takes each
-    step directly.  An iteration costs O(k + n_out), plus O(n k) once per
-    distinct selected column.  Entry 0 is the risk of the zero model.
+    step directly.  ``heldout_columns`` is the held-out design transposed,
+    C-contiguous, so that column j is one contiguous row.  An iteration
+    costs O(k + n_out), plus O(n k) once per distinct selected column.
+    Entry 0 is the risk of the zero model.
+
+    The loop allocates nothing: the scores carry an additive penalty, 0 for
+    a selectable column and -inf for a dead one, and every update is
+    written into a preallocated buffer.
     """
     z = np.asarray(design, dtype=float)
     k = z.shape[1]
     inv_norms2, selectable, _ = _screen_columns(z, None, warn_label)
-    neg_inf = np.full(k, -np.inf)
+    penalty = np.where(selectable, 0.0, -np.inf)
 
     corr = z.T @ np.asarray(response, dtype=float)
-    gram: dict[int, np.ndarray] = {}
+    # column j's Gram column Z'z_j and held-out values, once it is selected
+    columns: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     d_out = np.array(heldout_response, dtype=float)
+    n_out = d_out.shape[0]
+    scores = np.empty(k)
+    corr_step = np.empty(k)
+    out_step = np.empty(n_out)
     risk_out = np.empty(n_iterations + 1)
-    risk_out[0] = (d_out @ d_out) / d_out.shape[0]
+    risk_out[0] = (d_out @ d_out) / n_out
     for m in range(n_iterations):
-        scores = np.where(selectable, corr * corr * inv_norms2, neg_inf)
-        j = int(np.argmax(scores))
-        step = learning_rate * corr[j] * inv_norms2[j]
-        if j not in gram:
-            gram[j] = z.T @ z[:, j]
-        corr -= step * gram[j]
-        d_out -= step * heldout_design[:, j]
-        risk_out[m + 1] = (d_out @ d_out) / d_out.shape[0]
+        np.multiply(corr, corr, out=scores)
+        np.multiply(scores, inv_norms2, out=scores)
+        np.add(scores, penalty, out=scores)
+        j = int(scores.argmax())
+        step = learning_rate * corr.item(j) * inv_norms2.item(j)
+        cached = columns.get(j)
+        if cached is None:
+            cached = columns[j] = (z.T @ z[:, j], heldout_columns[j])
+        gram_j, heldout_j = cached
+        np.subtract(corr, np.multiply(gram_j, step, out=corr_step), out=corr)
+        np.subtract(d_out, np.multiply(heldout_j, step, out=out_step), out=d_out)
+        risk_out[m + 1] = (d_out @ d_out) / n_out
     return risk_out
 
 

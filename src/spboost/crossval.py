@@ -2,10 +2,14 @@
 
 Spatial folds cluster the location centroids with k-means and assign every
 period of a location to its cluster's fold, so no location leaks between
-training and test rows.  Leave-time-out folds hold out one whole period at
-a time.  The risk curve evaluates held-out risk after every boosting
-iteration and averages it across folds; its minimizer is the stopping
-iteration.
+training and test rows.  The k-means is this module's own: k-means++
+seeding (Arthur & Vassilvitskii 2007) and Lloyd steps, run for a batch of
+seeded restarts at once as arrays, and equal bit for bit to scipy's
+``kmeans2(iter=100, minit="++")`` restart by restart.  Leave-time-out folds
+hold out one whole period at a time.  The risk curve evaluates held-out
+risk after every boosting iteration and averages it across folds, one fold
+after another (the fold-wise ``cvrisk`` of Hofner et al. 2014); its
+minimizer is the stopping iteration.
 """
 
 from __future__ import annotations
@@ -14,13 +18,15 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.cluster.vq import ClusterError, kmeans2
 
 from .boosting import BoostConfig, _cv_risk_path
 from .errors import DegenerateGeometryError, ValidationError
 
 KMEANS_RESTARTS = 50
 KMEANS_MAX_ITER = 100
+# restarts per batch are capped so that each (restarts, locations) work array
+# holds at most this many values (128 KiB); larger arrays ran slower
+KMEANS_BATCH_ENTRIES = 16_384
 
 
 class FoldKind(enum.Enum):
@@ -64,15 +70,78 @@ class FoldPlan:
         object.__setattr__(self, "assignment", a)
 
 
-def _kmeans_restart(pts: np.ndarray, n_folds: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    """One ``kmeans2(..., iter=100, minit="++")`` restart, stopped at its fixed point."""
-    centers, labels = kmeans2(pts, n_folds, iter=1, minit="++", missing="raise", rng=rng)
-    for _ in range(KMEANS_MAX_ITER - 1):
-        centers, new_labels = kmeans2(pts, centers, iter=1, minit="matrix", missing="raise")
-        if np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-    return centers, labels
+def _squared_distances(centre: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """``(c - p)_x**2 + (c - p)_y**2`` from one centre per restart to every point."""
+    dx = centre[:, 0, None] - xs
+    dy = centre[:, 1, None] - ys
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return dx
+
+
+def _kmeans_restarts(pts: np.ndarray, n_folds: int, rngs) -> list:
+    """k-means++ restarts run side by side, one per generator in ``rngs``.
+
+    Each restart equals ``kmeans2(pts, n_folds, iter=100, minit="++",
+    missing="raise", rng=rng)`` of ``scipy.cluster.vq`` bit for bit, and
+    returns its ``(centers, labels)``, or None where that call would raise
+    ``ClusterError`` because a cluster lost its last point.
+
+    * Seeding draws as ``_kpp`` does: ``rng.integers(n)`` for the first
+      centre, then one ``rng.uniform()`` per further centre, placed by a
+      left search of the cumulative ``D2 / D2.sum()``.  When every point
+      already sits on a centre that ratio is 0/0 and the search lands on
+      point 0, again as in ``_kpp``.
+    * A Lloyd step assigns each point to its nearest centre by
+      ``(c - p)_x**2 + (c - p)_y**2``, ties to the lower index (the strict
+      ``<`` of ``vq``), and moves each centre to its points' sum in row order
+      divided by their count.
+    * A restart stops when its labels repeat, at most 100 steps: the centres
+      depend on the labels alone, so every later step would repeat too.
+    """
+    n = pts.shape[0]
+    r = len(rngs)
+    xs, ys = np.ascontiguousarray(pts.T)
+    centers = np.empty((r, n_folds, 2))
+    centers[:, 0] = pts[[rng.integers(n) for rng in rngs]]
+    d2 = None
+    for i in range(1, n_folds):
+        d = _squared_distances(centers[:, i - 1], xs, ys)
+        d2 = d if d2 is None else np.minimum(d2, d, out=d2)
+        with np.errstate(invalid="ignore"):
+            cumprobs = np.cumsum(d2 / d2.sum(axis=1, keepdims=True), axis=1)
+        draws = np.array([rng.uniform() for rng in rngs])
+        centers[:, i] = pts[(cumprobs < draws[:, None]).sum(axis=1)]
+
+    coords = (np.tile(xs, r), np.tile(ys, r))
+    labels = np.empty((r, n), dtype=np.int64)
+    lost = np.zeros(r, dtype=bool)
+    moving = np.arange(r)
+    for step in range(KMEANS_MAX_ITER):
+        c = centers[moving]
+        best = _squared_distances(c[:, 0], xs, ys)
+        new = np.zeros(best.shape, dtype=np.int64)
+        for j in range(1, n_folds):
+            d = _squared_distances(c[:, j], xs, ys)
+            np.copyto(new, j, where=d < best)
+            np.minimum(best, d, out=best)
+        if step:
+            changed = (new != labels[moving]).any(axis=1)
+            moving, new = moving[changed], new[changed]
+            if not moving.size:
+                break
+        labels[moving] = new
+        m = moving.size
+        bins = (new + n_folds * np.arange(m)[:, None]).ravel()
+        counts = np.bincount(bins, minlength=m * n_folds).reshape(m, n_folds)
+        full = ~(counts == 0).any(axis=1)
+        lost[moving[~full]] = True
+        for axis, weights in enumerate(coords):
+            sums = np.bincount(bins, weights[: m * n], minlength=m * n_folds)
+            centers[moving[full], :, axis] = sums.reshape(m, n_folds)[full] / counts[full]
+        moving = moving[full]
+    return [None if lost[q] else (centers[q], labels[q]) for q in range(r)]
 
 
 def make_spatial_folds(
@@ -81,12 +150,13 @@ def make_spatial_folds(
     """Cluster centroids into folds with restarted seeded k-means.
 
     Runs up to 50 k-means++ restarts and keeps the labeling with the lowest
-    within-cluster sum of squares.  Restarts that lose a cluster are
-    retried with a fresh stream; 50 such failures abort.  Each restart runs
-    Lloyd iterations until the labels stop changing, at most 100.  This
-    equals 100 iterations bit for bit, lost clusters included: the centres
-    are recomputed from the labels alone, so once the labels repeat, so do
-    the centres and every later iteration.
+    within-cluster sum of squares (the first on ties).  Restart ``a`` draws
+    from its own Philox stream, spawn key ``(a,)`` of ``seed``.  Restarts
+    that lose a cluster are replaced by further ones; 50 such failures
+    abort with ``DegenerateGeometryError``.  The restarts run in batches
+    through ``_kmeans_restarts`` (each bitwise scipy's ``kmeans2`` with
+    ``iter=100``), sized so that a batch's work arrays hold at most
+    ``KMEANS_BATCH_ENTRIES`` values each, and are scanned in restart order.
     """
     pts = np.asarray(centroids, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -105,28 +175,33 @@ def make_spatial_folds(
     best_wcss = np.inf
     successes = 0
     failures = 0
+    batch = max(1, KMEANS_BATCH_ENTRIES // n)
     while successes < KMEANS_RESTARTS:
-        attempt = successes + failures
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(attempt,)))
-        )
-        try:
-            centers, labels = _kmeans_restart(pts, n_folds, rng)
-        except ClusterError:
-            failures += 1
-            if failures >= KMEANS_RESTARTS:
-                raise DegenerateGeometryError(
-                    f"k-means lost a cluster in {failures} consecutive attempts; "
-                    f"cannot split {n} locations into {n_folds} folds"
-                ) from None
-            continue
-        wcss = float(((pts - centers[labels]) ** 2).sum())
-        if wcss < best_wcss:
-            best_wcss = wcss
-            best_labels = labels
-        successes += 1
+        first = successes + failures
+        rngs = [
+            np.random.Generator(
+                np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(a,)))
+            )
+            for a in range(first, first + min(batch, KMEANS_RESTARTS - successes))
+        ]
+        for outcome in _kmeans_restarts(pts, n_folds, rngs):
+            if outcome is None:
+                failures += 1
+                if failures >= KMEANS_RESTARTS:
+                    raise DegenerateGeometryError(
+                        f"k-means lost a cluster in {failures} of "
+                        f"{successes + failures} restarts; "
+                        f"cannot split {n} locations into {n_folds} folds"
+                    )
+                continue
+            centers, labels = outcome
+            wcss = float(((pts - centers[labels]) ** 2).sum())
+            if wcss < best_wcss:
+                best_wcss = wcss
+                best_labels = labels
+            successes += 1
 
-    assignment = np.tile(np.asarray(best_labels, dtype=np.int64), n_periods)
+    assignment = np.tile(best_labels, n_periods)
     return FoldPlan(
         kind=FoldKind.SPATIAL,
         n_folds=n_folds,
@@ -170,7 +245,11 @@ def boost_cv_curve(
     columns, ``Z'r <- Z'r - step * Z'z_j``, and never forms the training
     residual (see ``boosting``).  The curve therefore equals a fold-by-fold
     replay of ``boost`` on the training rows up to rounding only; the
-    coefficients of a fit come from the direct path.
+    coefficients of a fit come from the direct path.  Each fold's held-out
+    design is passed transposed and C-contiguous, so that a step reads one
+    contiguous row.  Folds run one after another, not in lockstep: a
+    bit-identical lockstep must hold every fold's training design and Gram
+    cache at once, which raised peak memory and was no faster.
     """
     y = np.asarray(response, dtype=float)
     z = np.asarray(design, dtype=float)
@@ -184,7 +263,7 @@ def boost_cv_curve(
             y[train],
             z[train],
             y[test],
-            z[test],
+            np.ascontiguousarray(z[test].T),
             config.learning_rate,
             config.m_stop,
             warn_label=f"fold {f} training data",

@@ -508,6 +508,10 @@ def estimate_variance_components(
     and (under random effects) the location-effect system with the family's
     restriction applied: ANS pins the location-effect autocorrelation at
     zero, KKP copies the idiosyncratic estimate, GSPECM leaves it free.
+    Weights with a row summing to more than one are refused with
+    ``ValidationError``: the solver's range |rho| <= 0.999 is admissible
+    only for a spectral radius of W at most 1, which the largest row sum
+    bounds.
     """
     if data.n_periods < 2:
         raise ValidationError(
@@ -515,6 +519,14 @@ def estimate_variance_components(
         )
     if weights.n_locations != data.n_locations:
         raise ValidationError("weight matrix does not match the panel")
+    row_sums = weights.matrix.sum(axis=1)
+    worst = int(np.argmax(row_sums))
+    if row_sums[worst] > 1.0 + 1e-12:
+        raise ValidationError(
+            f"weight row {worst} (location {data.location_ids[worst]!r}) sums to "
+            f"{float(row_sums[worst])!r} > 1, so |rho| <= {RHO_BOUND} is not an admissible "
+            "range; row-normalize the weights (--row-normalize)"
+        )
 
     triple = initial_residuals(data, design, weights, config=config, cv_plan=cv_plan)
     eps_system = idiosyncratic_moment_system(triple, weights, data.n_periods)

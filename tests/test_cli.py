@@ -243,6 +243,20 @@ def test_fit_with_neighbor_list_weights(panel_files, tmp_path):
     assert report["cross_validation"]["kind"] == "time"
 
 
+def test_fit_refuses_unnormalized_neighbor_list_weights(panel_files, tmp_path, capsys):
+    # every ring row sums to 2, outside the range |rho| <= 0.999 is valid for
+    panel, _ = panel_files
+    neighbours = tmp_path / "edges.csv"
+    write_ring_edges(neighbours, 25)
+    common = ["fit", "--panel", panel, "--weights", str(neighbours), "--cv", "time",
+              "--folds", "2", "--mstop-budget", "50"]
+    assert main([*common, "--out-dir", str(tmp_path / "raw")]) == 2
+    err = capsys.readouterr().err
+    assert "weight row 0" in err and "--row-normalize" in err
+    assert not (tmp_path / "raw" / "report.json").exists()
+    assert main([*common, "--row-normalize", "--out-dir", str(tmp_path / "normalized")]) == 0
+
+
 # ---------------------------------------------------------------------------
 # cv and transform subcommands
 

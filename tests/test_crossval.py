@@ -1,23 +1,27 @@
 """Fold construction and the cross-validated stopping rule."""
 
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from scipy.cluster.vq import ClusterError, kmeans2
 
-from spboost.boosting import BoostConfig, boost
+import spboost.crossval
+from spboost.boosting import BoostConfig, _screen_columns, boost
 from spboost.crossval import (
     KMEANS_MAX_ITER,
+    KMEANS_RESTARTS,
     FoldKind,
     FoldPlan,
-    _kmeans_restart,
+    _kmeans_restarts,
     boost_cv_curve,
     choose_stopping_iteration,
     make_spatial_folds,
     make_time_folds,
 )
-from spboost.errors import ValidationError
+from spboost.errors import DegenerateGeometryError, ValidationError
 from spboost.panel import ModelSpec
 from spboost.pipeline import build_fold_plan, prepare
 from spboost.transform import TransformedData
@@ -124,7 +128,7 @@ def test_spatial_folds_validate_inputs():
 
 
 # ---------------------------------------------------------------------------
-# k-means restarts stopped at their fixed point
+# Batched k-means restarts, bitwise scipy's kmeans2
 
 
 def _geometry(kind, n, seed):
@@ -153,7 +157,15 @@ def _restart_outcome(kmeans, pts, n_folds, seed):
             centers, labels = kmeans(pts, n_folds, rng)
         except ClusterError:
             return None
-    return centers.dtype, centers.shape, centers.tobytes(), labels.dtype, labels.tobytes()
+    return centers.dtype, centers.shape, centers.tobytes(), labels.tolist()
+
+
+def _owned_restart(pts, n_folds, rng):
+    """One restart through the batched runner, which takes a list of generators."""
+    (outcome,) = _kmeans_restarts(pts, n_folds, [rng])
+    if outcome is None:
+        raise ClusterError("lost a cluster")
+    return outcome
 
 
 def _hundred_iterations(pts, n_folds, rng):
@@ -172,7 +184,7 @@ def test_kmeans_restart_is_bitwise_the_hundred_iteration_kmeans2():
         n_folds = 2 + seed // 16 % 7
         pts = _geometry(kind, n, seed)
         expected = _restart_outcome(_hundred_iterations, pts, n_folds, seed)
-        assert _restart_outcome(_kmeans_restart, pts, n_folds, seed) == expected, seed
+        assert _restart_outcome(_owned_restart, pts, n_folds, seed) == expected, seed
         lost += expected is None
     assert lost > 0
 
@@ -185,7 +197,126 @@ def test_kmeans_restart_loses_a_cluster_in_the_same_lloyd_step():
     pts = np.column_stack([x, np.zeros(len(x))])
     assert _restart_outcome(_seeding_step, pts, 5, 8124) is not None
     assert _restart_outcome(_hundred_iterations, pts, 5, 8124) is None
-    assert _restart_outcome(_kmeans_restart, pts, 5, 8124) is None
+    assert _restart_outcome(_owned_restart, pts, 5, 8124) is None
+
+
+def test_kmeans_restart_breaks_distance_ties_as_kmeans2():
+    # on a small integer lattice many points sit at exactly equal distances
+    # from two centres; vq gives them to the lower centre index
+    lost = 0
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        pts = rng.integers(0, 4, size=(40, 2)).astype(float)
+        n_folds = 2 + seed % 4
+        expected = _restart_outcome(_hundred_iterations, pts, n_folds, seed)
+        assert _restart_outcome(_owned_restart, pts, n_folds, seed) == expected, seed
+        lost += expected is None
+    assert lost < 60
+
+
+def _fixed_point_restart(pts, n_folds, rng):
+    """The per-restart loop that preceded the batched runner, on kmeans2."""
+    centers, labels = kmeans2(pts, n_folds, iter=1, minit="++", missing="raise", rng=rng)
+    for _ in range(KMEANS_MAX_ITER - 1):
+        centers, new_labels = kmeans2(pts, centers, iter=1, minit="matrix", missing="raise")
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+    return centers, labels
+
+
+def _reference_plan(pts, n_folds, seed):
+    """Fold labels of the restart loop on kmeans2, None where it gives up.
+
+    Also returns the number of restarts that lost a cluster.
+    """
+    best_labels, best_wcss, successes, failures = None, np.inf, 0, 0
+    while successes < KMEANS_RESTARTS:
+        rng = np.random.Generator(
+            np.random.Philox(
+                np.random.SeedSequence(entropy=seed, spawn_key=(successes + failures,))
+            )
+        )
+        try:
+            centers, labels = _fixed_point_restart(pts, n_folds, rng)
+        except ClusterError:
+            failures += 1
+            if failures >= KMEANS_RESTARTS:
+                return None, failures
+            continue
+        wcss = float(((pts - centers[labels]) ** 2).sum())
+        if wcss < best_wcss:
+            best_wcss, best_labels = wcss, labels
+        successes += 1
+    return best_labels.tolist(), failures
+
+
+# k-means++ on this line sometimes seeds centres that a Lloyd step empties
+_LINE = np.column_stack(
+    [
+        [0.0, 0.002, 1.008, 2.007, 3.006, 4.006, 7.01, 7.004, 10.008, 10.007, 11.001,
+         14.002, 16.001],
+        np.zeros(13),
+    ]
+)
+
+# (points, folds, seed): plans with one lost-cluster retry, plans that give
+# up (more folds than the three duplicated sites), and plain plans
+_PLAN_CASES = [
+    (_LINE, 5, 1),
+    (_LINE, 5, 8124),
+    (_geometry("uniform", 24, 13), 8, 13),
+    (_geometry("collinear", 12, 84), 5, 84),
+    (_geometry("clustered", 16, 53), 6, 53),
+    (_geometry("duplicated", 30, 1), 4, 1),
+    (_geometry("duplicated", 12, 9), 5, 9),
+    (_geometry("duplicated", 30, 2), 3, 2),
+    (_geometry("uniform", 30, 0), 3, 0),
+    (_geometry("clustered", 100, 4), 5, 4),
+    (_geometry("collinear", 60, 6), 7, 6),
+]
+
+
+@pytest.mark.parametrize("batch_entries", [None, 64], ids=["default-batches", "small-batches"])
+def test_spatial_folds_equal_the_restart_loop_on_kmeans2(monkeypatch, batch_entries):
+    if batch_entries is not None:
+        # a few restarts per batch, so retries cross batch boundaries
+        monkeypatch.setattr(spboost.crossval, "KMEANS_BATCH_ENTRIES", batch_entries)
+    retried = aborted = 0
+    for pts, n_folds, seed in _PLAN_CASES:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            expected, failures = _reference_plan(pts, n_folds, seed)
+        if expected is None:
+            aborted += 1
+            with pytest.raises(DegenerateGeometryError):
+                make_spatial_folds(pts, n_folds, 2, seed)
+            continue
+        retried += failures > 0
+        plan = make_spatial_folds(pts, n_folds, 2, seed)
+        assert plan.assignment.tolist() == expected * 2, seed
+    assert retried == 5 and aborted == 2
+
+
+def test_abort_message_counts_failed_restarts_of_all_restarts():
+    # three distinct sites cannot hold four clusters: every restart fails
+    pts = _geometry("duplicated", 30, 5)
+    with pytest.raises(DegenerateGeometryError) as excinfo:
+        make_spatial_folds(pts, 4, 2, seed=5)
+    message = str(excinfo.value)
+    assert f"lost a cluster in {KMEANS_RESTARTS} of {KMEANS_RESTARTS} restarts" in message
+    assert "consecutive" not in message
+
+
+def test_import_leaves_scipy_cluster_unloaded():
+    code = (
+        "import sys, spboost; "
+        "print([m for m in sys.modules if m.startswith('scipy.cluster')])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +440,105 @@ def test_cv_curve_matches_boost_replay_over_seeds(n, t, k, m_stop):
         expected, _ = boost_replay(y, z, plan, cfg)
         assert np.max(np.abs(curve - expected) / expected) <= 1e-10, seed
         assert choose_stopping_iteration(curve) == choose_stopping_iteration(expected), seed
+
+
+def _reference_cv_risk_path(
+    response, design, heldout_response, heldout_design, learning_rate, n_iterations, warn_label
+):
+    """The per-fold kernel before its loop was made allocation-free.
+
+    Takes the held-out design untransposed and allocates its scores and
+    updates every iteration; the kernel in ``boosting`` must match it bit
+    for bit.
+    """
+    z = np.asarray(design, dtype=float)
+    k = z.shape[1]
+    inv_norms2, selectable, _ = _screen_columns(z, None, warn_label)
+    neg_inf = np.full(k, -np.inf)
+
+    corr = z.T @ np.asarray(response, dtype=float)
+    gram = {}
+    d_out = np.array(heldout_response, dtype=float)
+    risk_out = np.empty(n_iterations + 1)
+    risk_out[0] = (d_out @ d_out) / d_out.shape[0]
+    for m in range(n_iterations):
+        scores = np.where(selectable, corr * corr * inv_norms2, neg_inf)
+        j = int(np.argmax(scores))
+        step = learning_rate * corr[j] * inv_norms2[j]
+        if j not in gram:
+            gram[j] = z.T @ z[:, j]
+        corr -= step * gram[j]
+        d_out -= step * heldout_design[:, j]
+        risk_out[m + 1] = (d_out @ d_out) / d_out.shape[0]
+    return risk_out
+
+
+def _reference_cv_curve(y, z, plan, cfg):
+    fold_curves = []
+    for f in range(plan.n_folds):
+        train = plan.assignment != f
+        test = ~train
+        fold_curves.append(
+            _reference_cv_risk_path(
+                y[train], z[train], y[test], z[test], cfg.learning_rate, cfg.m_stop,
+                warn_label=f"fold {f} training data",
+            )
+        )
+    return np.mean(fold_curves, axis=0)
+
+
+def _sparse_signal(rng, rows, k):
+    z = rng.normal(size=(rows, k))
+    beta = np.zeros(k)
+    beta[rng.choice(k, size=3, replace=False)] = rng.normal(0.0, 2.0, size=3)
+    return z @ beta + rng.normal(size=rows), z
+
+
+@pytest.mark.parametrize(
+    "n, t, k, m_stop",
+    [(40, 5, 8, 200), (12, 3, 80, 300), (20, 3, 10, 2000)],
+    ids=["tall", "wide", "long"],
+)
+def test_cv_curve_is_bitwise_the_reference_kernel_over_seeds(n, t, k, m_stop):
+    cfg = BoostConfig(m_stop=m_stop)
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        y, z = _sparse_signal(rng, n * t, k)
+        plan = random_fold_plan(rng, n, t, int(rng.integers(2, 4)))
+        curve = boost_cv_curve(y, z, plan, cfg)
+        assert np.array_equal(curve, _reference_cv_curve(y, z, plan, cfg)), seed
+
+
+def test_cv_curve_is_bitwise_the_reference_kernel_on_time_and_unequal_folds():
+    cfg = BoostConfig(learning_rate=0.3, m_stop=400)
+    n, t, k = 15, 4, 12
+    labels = np.repeat([0, 1, 2], [1, 4, 10])
+    plans = [
+        make_time_folds(n, t),
+        FoldPlan(FoldKind.SPATIAL, 3, np.tile(labels, t), n, t),
+    ]
+    for seed in range(20):
+        rng = np.random.default_rng(100 + seed)
+        y, z = _sparse_signal(rng, n * t, k)
+        for plan in plans:
+            curve = boost_cv_curve(y, z, plan, cfg)
+            assert np.array_equal(curve, _reference_cv_curve(y, z, plan, cfg)), (seed, plan.kind)
+
+
+def test_cv_curve_is_bitwise_the_reference_kernel_with_a_dead_column_in_one_fold():
+    rng = np.random.default_rng(12)
+    n, t = 15, 2
+    labels = np.arange(n) % 3
+    plan = FoldPlan(FoldKind.SPATIAL, 3, np.tile(labels, t), n, t)
+    z = rng.normal(size=(n * t, 4))
+    z[plan.assignment != 1, 2] = 0.0
+    y = z @ np.array([1.0, -0.5, 3.0, 0.0]) + 0.2 * rng.normal(size=n * t)
+    cfg = BoostConfig(m_stop=50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        curve = boost_cv_curve(y, z, plan, cfg)
+        expected = _reference_cv_curve(y, z, plan, cfg)
+    assert np.array_equal(curve, expected)
 
 
 def test_cv_curve_duplicated_column_tie_goes_to_lower_index():

@@ -22,6 +22,7 @@ from spboost.gmm import (
 from spboost.linalg import ProjectorKind, TimeProjector
 from spboost.panel import Effects, Family, ModelSpec, augment_design, spatial_lag
 from spboost.simulate import DgpConfig, generate_panel
+from spboost.weights import SpatialWeights
 
 from conftest import (
     dense_between_contrast,
@@ -503,3 +504,19 @@ def test_location_autocorrelation_sign_from_exact_disturbances():
         )
         hits += mu.rho < 0
     assert hits >= 18
+
+
+def test_component_estimation_refuses_row_sums_above_one():
+    # |rho| <= 0.999 is admissible only while no row of W sums past one
+    data = make_panel(12, 3, 2, seed=21)
+    w, _ = make_weights(12, seed=21, k=3)
+    spec = ModelSpec(effects=Effects.FIXED, include_intercept=False)
+    scale = np.where(np.arange(12) == 4, 1.5, 1.0)[:, None]
+    for rows_scaled, admissible in ((scale, False), (1.0 + 1e-13, True), (0.5, True)):
+        scaled = SpatialWeights(w.matrix * rows_scaled)
+        design = augment_design(data, scaled, spec)
+        if admissible:
+            assert estimate_variance_components(data, design, scaled, spec).sigma_eps2 > 0
+            continue
+        with pytest.raises(ValidationError, match=r"row 4 \(location 'L4'\).*--row-normalize"):
+            estimate_variance_components(data, design, scaled, spec)
