@@ -16,8 +16,6 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
 from .boosting import BoostConfig
 from .crossval import FoldKind, boost_cv_curve, choose_stopping_iteration
@@ -39,17 +37,6 @@ from .report import (
 )
 from .simulate import DgpConfig, run_experiment
 from .weights import build_knn_weights, read_centroid_csv, read_neighbor_csv, row_normalize
-
-THREADS_ENV = "SPBOOST_THREADS"
-
-
-def _default_threads() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
 
 def _add_ingestion_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--panel", required=True, help="long-format panel CSV (location,period,y,...)")
@@ -89,7 +76,15 @@ def _add_cv_options(p: argparse.ArgumentParser) -> None:
 
 def _add_common_output(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out-dir", required=True, help="directory for the JSON/CSV reports")
-    p.add_argument("--threads", type=int, default=_default_threads(), help=f"ignored, runs are serial (default ${THREADS_ENV} or 1)")
+    p.add_argument("--threads", type=int, default=1, help="ignored, runs are serial")
+
+
+def _add_panel_parser(sub, name: str, help_text: str) -> argparse.ArgumentParser:
+    """A subcommand reading a panel, with the option groups fit, cv and transform share."""
+    p = sub.add_parser(name, help=help_text)
+    for add in (_add_ingestion_options, _add_model_options, _add_boost_options, _add_cv_options):
+        add(p)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,29 +95,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"spboost {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_fit = sub.add_parser("fit", help="estimate a model on a panel")
-    _add_ingestion_options(p_fit)
-    _add_model_options(p_fit)
-    _add_boost_options(p_fit)
-    _add_cv_options(p_fit)
+    p_fit = _add_panel_parser(sub, "fit", "estimate a model on a panel")
     p_fit.add_argument("--tau", type=float, default=0.01, help="deselection threshold")
     p_fit.add_argument("--no-deselect", action="store_true", help="skip deselection")
     p_fit.add_argument("--baseline", action="store_true", help="add the least-squares benchmark")
     _add_common_output(p_fit)
 
-    p_cv = sub.add_parser("cv", help="cross-validated risk curve and stopping iteration")
-    _add_ingestion_options(p_cv)
-    _add_model_options(p_cv)
-    _add_boost_options(p_cv)
-    _add_cv_options(p_cv)
-    _add_common_output(p_cv)
-
-    p_tr = sub.add_parser("transform", help="write the whitened response and design")
-    _add_ingestion_options(p_tr)
-    _add_model_options(p_tr)
-    _add_boost_options(p_tr)
-    _add_cv_options(p_tr)
-    _add_common_output(p_tr)
+    for name, help_text in (
+        ("cv", "cross-validated risk curve and stopping iteration"),
+        ("transform", "write the whitened response and design"),
+    ):
+        _add_common_output(_add_panel_parser(sub, name, help_text))
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo estimator comparison")
     p_sim.add_argument("--n", type=int, default=100, help="locations")
@@ -188,10 +171,21 @@ def _load_inputs(args):
     return data, weights, inputs, spec, config
 
 
-def _flags_echo(args, skip=("command",)) -> dict:
-    return {
-        key: val for key, val in sorted(vars(args).items()) if key not in skip
+def _write_report(args, name: str, start: float, body: dict) -> None:
+    """Write JSON report ``name``: ``body`` inside the envelope every subcommand shares.
+
+    ``parameters`` echoes every parsed flag but the subcommand's name.
+    """
+    os.makedirs(args.out_dir, exist_ok=True)
+    payload = {
+        "tool": tool_stamp(),
+        "command": args.command,
+        "seed": args.seed,
+        "parameters": {key: val for key, val in sorted(vars(args).items()) if key != "command"},
+        **body,
+        "timing_seconds": time.time() - start,
     }
+    write_json(os.path.join(args.out_dir, name), payload)
 
 
 def cmd_fit(args) -> int:
@@ -208,17 +202,7 @@ def cmd_fit(args) -> int:
         deselect_threshold=None if args.no_deselect else args.tau,
         baseline=args.baseline,
     )
-    os.makedirs(args.out_dir, exist_ok=True)
-    payload = {
-        "tool": tool_stamp(),
-        "command": "fit",
-        "seed": args.seed,
-        "parameters": _flags_echo(args),
-        "inputs": inputs,
-        **fit_payload(result),
-        "timing_seconds": time.time() - start,
-    }
-    write_json(os.path.join(args.out_dir, "report.json"), payload)
+    _write_report(args, "report.json", start, {"inputs": inputs, **fit_payload(result)})
     write_fit_reports(args.out_dir, result)
     return 0
 
@@ -230,17 +214,12 @@ def cmd_cv(args) -> int:
     _, _, td = prepare(data, weights, spec, config, plan)
     curve = boost_cv_curve(td.response, td.design, plan, config)
     m_opt = choose_stopping_iteration(curve)
-    os.makedirs(args.out_dir, exist_ok=True)
-    payload = {
-        "tool": tool_stamp(),
-        "command": "cv",
-        "seed": args.seed,
-        "parameters": _flags_echo(args),
-        "inputs": inputs,
-        "cross_validation": cross_validation_payload(plan, m_opt, curve),
-        "timing_seconds": time.time() - start,
-    }
-    write_json(os.path.join(args.out_dir, "cv.json"), payload)
+    _write_report(
+        args,
+        "cv.json",
+        start,
+        {"inputs": inputs, "cross_validation": cross_validation_payload(plan, m_opt, curve)},
+    )
     write_cv_curve(args.out_dir, curve)
     return 0
 
@@ -252,31 +231,25 @@ def cmd_transform(args) -> int:
     # built only on that route, since least-squares residuals need none
     plan = functools.partial(build_fold_plan, data, FoldKind(args.cv), args.folds, args.seed)
     _, components, td = prepare(data, weights, spec, config, plan)
-    os.makedirs(args.out_dir, exist_ok=True)
-    payload = {
-        "tool": tool_stamp(),
-        "command": "transform",
-        "seed": args.seed,
-        "parameters": _flags_echo(args),
-        "inputs": inputs,
-        "variance_components": components_payload(components),
-        "transform_fingerprint": td.fingerprint,
-        "timing_seconds": time.time() - start,
-    }
-    write_json(os.path.join(args.out_dir, "transform.json"), payload)
-    n = data.n_locations
-    rows = []
-    for ti, per in enumerate(data.period_ids):
-        for li, loc in enumerate(data.location_ids):
-            row_i = li + n * ti
-            rows.append(
-                [loc, per, float(td.response[row_i])]
-                + [float(v) for v in td.design[row_i]]
-            )
+    _write_report(
+        args,
+        "transform.json",
+        start,
+        {
+            "inputs": inputs,
+            "variance_components": components_payload(components),
+            "transform_fingerprint": td.fingerprint,
+        },
+    )
+    # rows are period-major: every location of the first period, then the next
+    labels = [(loc, per) for per in data.period_ids for loc in data.location_ids]
     write_csv(
         os.path.join(args.out_dir, "transformed.csv"),
-        ["location", "period", "y_star"] + list(td.names),
-        rows,
+        ["location", "period", "y_star", *td.names],
+        [
+            [loc, per, y, *z]
+            for (loc, per), y, z in zip(labels, td.response.tolist(), td.design.tolist())
+        ],
     )
     return 0
 
@@ -311,16 +284,7 @@ def cmd_simulate(args) -> int:
         n_folds=args.folds,
         deselect_threshold=args.tau,
     )
-    os.makedirs(args.out_dir, exist_ok=True)
-    payload = {
-        "tool": tool_stamp(),
-        "command": "simulate",
-        "seed": args.seed,
-        "parameters": _flags_echo(args),
-        **metrics_payload(metrics),
-        "timing_seconds": time.time() - start,
-    }
-    write_json(os.path.join(args.out_dir, "metrics.json"), payload)
+    _write_report(args, "metrics.json", start, metrics_payload(metrics))
     write_metrics_reports(args.out_dir, metrics)
     return 0
 

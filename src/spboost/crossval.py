@@ -230,7 +230,6 @@ def boost_cv_curve(
     design: np.ndarray,
     plan: FoldPlan,
     config: BoostConfig,
-    threads: int = 1,
 ) -> np.ndarray:
     """Fold-averaged held-out risk after each boosting iteration.
 
@@ -238,8 +237,6 @@ def boost_cv_curve(
     mean squared error of the model after m iterations trained on the
     remaining folds; entry 0 belongs to the zero model.  Training columns
     that are identically zero within a fold are excluded for that fold only.
-    ``threads`` is ignored: folds run serially, since the fits hold the GIL
-    and a thread pool was slower.
 
     Each fold updates the training correlations through cached Gram
     columns, ``Z'r <- Z'r - step * Z'z_j``, and never forms the training

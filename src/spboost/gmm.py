@@ -554,20 +554,14 @@ def estimate_variance_components(
             rho2_at_boundary=eps_sol.rho_at_boundary,
         )
 
-    mu_system = location_effect_moment_system(triple, weights, data.n_periods)
-    if spec.family is Family.ANS:
-        mu_sol = solve_moment_system(mu_system, fixed_rho=0.0)
-        rho1 = 0.0
-    elif spec.family is Family.KKP:
-        mu_sol = solve_moment_system(mu_system, fixed_rho=eps_sol.rho)
-        rho1 = eps_sol.rho
-    else:
-        mu_sol = solve_moment_system(mu_system)
-        rho1 = mu_sol.rho
+    mu_sol = solve_moment_system(
+        location_effect_moment_system(triple, weights, data.n_periods),
+        fixed_rho={Family.ANS: 0.0, Family.KKP: eps_sol.rho}.get(spec.family),
+    )
     return VarianceComponents(
         rho2=eps_sol.rho,
         sigma_eps2=sigma_eps2,
-        rho1=rho1,
+        rho1=mu_sol.rho,
         sigma_mu2=mu_sol.sigma2,
         family=spec.family,
         rho1_at_boundary=mu_sol.rho_at_boundary,

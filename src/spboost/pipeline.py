@@ -146,14 +146,12 @@ def fit_model(
     seed: int = 0,
     deselect_threshold: float | None = 0.01,
     baseline: bool = False,
-    threads: int = 1,
 ) -> FitResult:
     """Full estimation pass over one panel.
 
     ``deselect_threshold=None`` skips deselection.  ``baseline=True`` adds
     the least-squares benchmark when the design permits it; an
     under-determined design marks it unavailable instead of failing the run.
-    ``threads`` is ignored; folds run serially.
     """
     plan = build_fold_plan(data, cv_kind, n_folds, seed)
     design, components, td = prepare(data, weights, spec, config, plan)

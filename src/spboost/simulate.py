@@ -272,20 +272,28 @@ def run_experiment(
     boost_config: BoostConfig = BoostConfig(),
     n_folds: int = 5,
     deselect_threshold: float = 0.01,
-    threads: int = 1,
 ) -> SimulationMetrics:
     """Run all replications of a configuration and aggregate the metrics.
 
     Selection rates and errors are averaged over replications per method.
     A method that is infeasible on this design (least squares with more
     candidates than observations) is reported as unavailable rather than
-    failing the experiment.  ``threads`` is ignored: replications run
-    serially, since the fits hold the GIL and a thread pool was slower.
+    failing the experiment.  Before any fit, ``ValidationError`` refuses an
+    empty or repeated method list, and candidates that are all informative
+    or all noise, which leave a selection rate undefined.
     """
     methods = tuple(methods)
     unknown = [s for s in methods if s not in METHODS]
     if unknown:
         raise ValidationError(f"unknown methods {unknown}; choose from {METHODS}")
+    if not methods or len(set(methods)) < len(methods):
+        raise ValidationError(f"methods must be non-empty and distinct, got {list(methods)}")
+    informative = [s for s, v in cfg.true_coefficients.items() if s != INTERCEPT_NAME and v != 0]
+    if len(informative) in (0, cfg.n_candidates):
+        raise ValidationError(
+            f"n_candidates={cfg.n_candidates} with {len(informative)} informative columns "
+            "leaves the true positive or true negative rate undefined"
+        )
     if spec is None:
         spec = ModelSpec()
     geometry = cfg.geometry()

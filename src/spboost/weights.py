@@ -69,7 +69,7 @@ class SpatialWeights:
         return self.matrix.shape[0]
 
     def fingerprint(self) -> str:
-        """Short content hash, used for provenance in reports."""
+        """Short content hash of the matrix, for telling weight matrices apart."""
         h = hashlib.sha256(np.ascontiguousarray(self.matrix).tobytes())
         return h.hexdigest()[:12]
 

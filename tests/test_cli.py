@@ -1,6 +1,7 @@
 """End-to-end command line behavior: reports, determinism, exit codes."""
 
 import csv
+import dataclasses
 import json
 import os
 import shutil
@@ -9,9 +10,14 @@ import numpy as np
 import pytest
 
 import spboost.pipeline
-from spboost.cli import THREADS_ENV, build_parser, main
-from spboost.panel import write_panel_csv
+from spboost import __version__
+from spboost.boosting import BoostConfig
+from spboost.cli import build_parser, main
+from spboost.crossval import FoldKind
+from spboost.panel import ModelSpec, read_panel_csv, write_panel_csv
+from spboost.pipeline import build_fold_plan, prepare
 from spboost.simulate import DgpConfig, generate_panel
+from spboost.weights import build_knn_weights, read_centroid_csv
 
 
 def write_centroid_csv(path, data):
@@ -317,6 +323,28 @@ def test_transform_subcommand_writes_whitened_panel(panel_files, tmp_path):
     assert np.all(np.isfinite(values))
 
 
+def test_transformed_csv_matches_prepare_in_period_major_order(panel_files, tmp_path):
+    panel, centroids = panel_files
+    out = tmp_path / "tr"
+    flags = ["--panel", panel, "--centroids", centroids, "--knn", "3", "--family", "kkp"]
+    assert main(["transform", *flags, "--seed", "2", "--out-dir", str(out)]) == 0
+    # the oracle: the same set-up through the library, then prepare()
+    data = read_panel_csv(panel)
+    _, pts = read_centroid_csv(centroids, list(data.location_ids))
+    weights = build_knn_weights(pts, 3)
+    data = dataclasses.replace(data, centroids=pts)
+    plan = build_fold_plan(data, FoldKind.SPATIAL, 5, 2)
+    _, _, td = prepare(data, weights, ModelSpec(family="kkp"), BoostConfig(), plan)
+    with open(out / "transformed.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["location", "period", "y_star", *td.names]
+    labels = [(loc, per) for per in data.period_ids for loc in data.location_ids]
+    assert [tuple(row[:2]) for row in rows[1:]] == labels
+    for i, row in enumerate(rows[1:]):
+        want = [float(td.response[i]), *(float(v) for v in td.design[i])]
+        assert row[2:] == [repr(v) for v in want]
+
+
 def test_transform_with_neighbor_list_weights_needs_no_centroids(panel_files, tmp_path):
     panel, _ = panel_files
     neighbours = tmp_path / "edges.csv"
@@ -509,6 +537,26 @@ def test_simulate_rejects_unknown_method(tmp_path, capsys):
     assert "unknown methods" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (("--k", "4"), "n_candidates=4"),
+        (("--methods", "ltb,ltb"), "distinct"),
+        (("--methods", ""), "non-empty"),
+    ],
+)
+def test_simulate_refuses_undefined_metrics_before_fitting(tmp_path, capsys, extra, message):
+    # every candidate informative leaves the true negative rate undefined;
+    # a repeated method would write its rows twice, an empty list none
+    out = tmp_path / "o"
+    assert main(sim_args(out, *extra)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("spboost: invalid input: ")
+    assert message in err[0]
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # parser plumbing
 
@@ -521,16 +569,50 @@ def test_version_flag_exits_cleanly(capsys):
 
 
 def test_threads_default_comes_from_environment(monkeypatch):
-    monkeypatch.setenv(THREADS_ENV, "4")
-    args = build_parser().parse_args(
-        ["simulate", "--out-dir", "x"]
-    )
-    assert args.threads == 4
-    monkeypatch.setenv(THREADS_ENV, "not-a-number")
+    # --threads is accepted and ignored; its default no longer reads the
+    # environment, whatever SPBOOST_THREADS says
+    monkeypatch.setenv("SPBOOST_THREADS", "4")
     args = build_parser().parse_args(["simulate", "--out-dir", "x"])
     assert args.threads == 1
-    monkeypatch.delenv(THREADS_ENV)
     args = build_parser().parse_args(
         ["simulate", "--out-dir", "x", "--threads", "2"]
     )
     assert args.threads == 2
+
+
+ENVELOPE = {"tool", "command", "seed", "parameters", "timing_seconds"}
+
+
+@pytest.mark.parametrize(
+    "command, report, body",
+    [
+        (
+            "fit",
+            "report.json",
+            {
+                "inputs", "model", "variance_components", "transform_fingerprint",
+                "cross_validation", "boosting", "baseline", "deselection", "coefficients",
+            },
+        ),
+        ("cv", "cv.json", {"inputs", "cross_validation"}),
+        ("transform", "transform.json", {"inputs", "variance_components", "transform_fingerprint"}),
+        ("simulate", "metrics.json", {"dgp", "model", "methods"}),
+    ],
+)
+def test_report_envelope_is_pinned(panel_files, tmp_path, command, report, body):
+    panel, centroids = panel_files
+    out = tmp_path / command
+    if command == "simulate":
+        argv = sim_args(out, "--threads", "3")
+    else:
+        argv = [command, *fit_args(panel, centroids, out, "--threads", "3")[1:]]
+    assert main(argv) == 0
+    payload = load_json(out / report)
+    assert set(payload) == ENVELOPE | body
+    assert payload["tool"] == {"name": "spboost", "version": __version__}
+    assert payload["command"] == command
+    flags = vars(build_parser().parse_args(argv))
+    assert payload["seed"] == flags["seed"]
+    del flags["command"]
+    assert payload["parameters"] == flags
+    assert payload["parameters"]["threads"] == 3

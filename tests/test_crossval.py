@@ -597,17 +597,6 @@ def test_cv_curve_noiseless_single_column_reaches_zero():
     assert choose_stopping_iteration(curve) == len(curve) - 1
 
 
-def test_cv_curve_is_thread_count_invariant(rng):
-    n, t, k = 10, 3, 5
-    y = rng.normal(size=n * t)
-    z = rng.normal(size=(n * t, k))
-    plan = two_fold_plan(n, t)
-    cfg = BoostConfig(m_stop=20)
-    serial = boost_cv_curve(y, z, plan, cfg, threads=1)
-    parallel = boost_cv_curve(y, z, plan, cfg, threads=2)
-    assert np.array_equal(serial, parallel)
-
-
 def test_cv_curve_rejects_mismatched_rows(rng):
     plan = two_fold_plan(10, 2)
     with pytest.raises(ValidationError):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import spboost.simulate
 from spboost.boosting import BoostConfig
 from spboost.errors import AlignmentError, ValidationError
 from spboost.panel import INTERCEPT_NAME, LAG_PREFIX
@@ -262,9 +263,24 @@ def test_run_experiment_rejects_unknown_method():
         run_experiment(small_cfg(), methods=("ltb", "ridge"))
 
 
-def test_thread_count_does_not_change_results():
-    cfg = small_cfg(n_replications=3)
-    kwargs = dict(methods=("ltb",), boost_config=BoostConfig(m_stop=80), n_folds=2)
-    serial = run_experiment(cfg, threads=1, **kwargs)
-    parallel = run_experiment(cfg, threads=3, **kwargs)
-    assert serial.per_replication == parallel.per_replication
+@pytest.mark.parametrize("methods", [(), ("ltb", "ltb"), ("fgls", "ltb", "fgls")])
+def test_run_experiment_rejects_empty_or_repeated_methods(methods):
+    with pytest.raises(ValidationError, match="non-empty and distinct"):
+        run_experiment(small_cfg(), methods=methods)
+
+
+@pytest.mark.parametrize(
+    "n_candidates, truth",
+    [
+        (4, dict(DEFAULT_TRUE_COEFFICIENTS)),  # no noise column: TNR undefined
+        (6, {INTERCEPT_NAME: 1.0, "x1": 0.0}),  # no informative column: TPR undefined
+    ],
+)
+def test_run_experiment_refuses_undefined_selection_rates(monkeypatch, n_candidates, truth):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("the configuration must be refused before any fit")
+
+    monkeypatch.setattr(spboost.simulate, "fit_model", no_fit)
+    cfg = small_cfg(n_candidates=n_candidates, true_coefficients=truth)
+    with pytest.raises(ValidationError, match=f"n_candidates={n_candidates}"):
+        run_experiment(cfg)
