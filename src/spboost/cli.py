@@ -151,6 +151,8 @@ def _load_inputs(args):
             "knn": args.knn,
         }
     else:
+        if args.knn is not None:
+            raise ValidationError("--knn requires --centroids")
         weights = read_neighbor_csv(args.weights, list(data.location_ids))
         if args.row_normalize:
             weights = row_normalize(weights)

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .errors import ConditioningError, SingularFilterError, ValidationError
 from .weights import SpatialWeights
@@ -84,6 +83,9 @@ DOMINANCE_MARGIN = 1e-6
 class SpatialFilter:
     """The filter (I - rho * W); its LU factorization is built on first solve.
 
+    scipy.linalg is imported only then, so code that never factorizes a
+    filter never loads it.
+
     A filter whose scaled off-diagonal row sums ``s = |rho| * max_i sum_j
     w_ij`` stay below one is strictly diagonally dominant, hence nonsingular,
     and every pivot of its LU factorization is at least ``1 - s`` (Varah's
@@ -112,6 +114,10 @@ class SpatialFilter:
 
     def _factorize(self):
         if self._lu is None:
+            # imported here: a fit on row-normalized weights never factorizes,
+            # so it never pays for loading scipy.linalg
+            from scipy.linalg import lu_factor
+
             try:
                 lu = lu_factor(self._matrix)
             except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
@@ -146,6 +152,8 @@ class SpatialFilter:
             raise ValidationError(f"expected {n * n_periods} rows, got {v.shape[0]}")
         cube = v.reshape(n_periods, n, -1)
         lu = self._factorize()
+        from scipy.linalg import lu_solve
+
         out = np.stack([lu_solve(lu, block) for block in cube])
         return out.reshape(v.shape)
 
@@ -157,7 +165,20 @@ def symmetric_sqrt(block: np.ndarray, what: str) -> np.ndarray:
     instead of regularizing them silently.  Holds at most three n x n
     arrays of its own at once besides ``block``.
     """
+    return _consume_sqrt([block], what)
+
+
+def _consume_sqrt(holder: list, what: str) -> np.ndarray:
+    """symmetric_sqrt of the one array in ``holder``, which it empties.
+
+    The block is dropped once symmetrized, before ``eigh`` runs: a caller
+    that hands over its last reference this way does not keep the block
+    alive through the decomposition, which an argument would (the caller's
+    frame holds it until the call returns).
+    """
+    block = holder.pop()
     sym = 0.5 * (block + block.T)
+    del block
     eigval, eigvec = np.linalg.eigh(sym)
     del sym
     floor = EIGENVALUE_FLOOR * max(eigval[-1], 0.0)
@@ -232,9 +253,11 @@ def random_effects_whitener(
     Both blocks are inverted and square-rooted by eigendecomposition.
 
     No LU factorization or identity right-hand side is formed, and each
-    n x n intermediate is released once used, so at most five n x n float
-    arrays are alive at once (about 160 MB at n = 2000), the two returned
-    blocks included.
+    n x n intermediate is released once used; the input of each eigh is
+    released once symmetrized, before the decomposition runs.  Resident
+    memory, LAPACK's input copies and eigh workspace included, peaks at
+    about 5.3 n x n blocks at n = 2000 (about 171 MB) and 5.9 at n = 1000,
+    the two returned blocks included.
     """
     if n_periods < 2:
         raise ValidationError("random-effects whitening needs at least two periods")
@@ -250,15 +273,16 @@ def random_effects_whitener(
         loc_gram = _filter_gram(components.rho1, weights)
         between_cov += n_periods * components.sigma_mu2 * np.linalg.inv(loc_gram)
         del loc_gram
-    between_inv = np.linalg.inv(0.5 * (between_cov + between_cov.T))
+    holder = [np.linalg.inv(0.5 * (between_cov + between_cov.T))]
     del between_cov
-    between_block = symmetric_sqrt(between_inv, "between covariance block")
-    del between_inv
+    between_block = _consume_sqrt(holder, "between covariance block")
     bb /= components.sigma_eps2
+    holder.append(bb)
+    del bb
     return WhiteningOperator(
         mode=WhitenerMode.RANDOM_GLS,
         between_block=between_block,
-        within_block=symmetric_sqrt(bb, "within covariance block"),
+        within_block=_consume_sqrt(holder, "within covariance block"),
         n_periods=n_periods,
     )
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import enum
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -256,6 +257,10 @@ def read_panel_csv(path: str) -> PanelDataset:
     Locations and periods are ordered by first appearance in the file; the
     panel must be balanced (every location observed in every period, no
     duplicates).
+
+    Each record's values go straight into one growing float array in file
+    order, with the record's location and period indices beside them; one
+    index permutation then puts the records in stacked order.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -268,11 +273,12 @@ def read_panel_csv(path: str) -> PanelDataset:
         xnames = header[3:]
         if len(set(xnames)) != len(xnames):
             raise ParseError("duplicate regressor names in header", row=1)
-        records: dict[tuple[str, str], tuple[float, list[float]]] = {}
-        loc_order: list[str] = []
-        per_order: list[str] = []
-        loc_seen: set[str] = set()
-        per_seen: set[str] = set()
+        values = array("d")
+        loc_of_row = array("q")
+        per_of_row = array("q")
+        loc_index: dict[str, int] = {}
+        per_index: dict[str, int] = {}
+        seen = np.zeros((16, 16), dtype=bool)
         for rownum, rec in enumerate(reader, start=2):
             if len(rec) != len(header):
                 raise ParseError(
@@ -280,47 +286,47 @@ def read_panel_csv(path: str) -> PanelDataset:
                 )
             loc, per = rec[0].strip(), rec[1].strip()
             try:
-                yval = float(rec[2])
-                xvals = [float(v) for v in rec[3:]]
+                values.extend(map(float, rec[2:]))
             except ValueError as exc:
                 raise ParseError(str(exc), row=rownum) from None
-            key = (loc, per)
-            if key in records:
+            li = loc_index.setdefault(loc, len(loc_index))
+            pi = per_index.setdefault(per, len(per_index))
+            # labels are numbered in order, so a new one is at most one past the grid
+            if li == seen.shape[0]:
+                seen = np.vstack([seen, np.zeros_like(seen)])
+            if pi == seen.shape[1]:
+                seen = np.hstack([seen, np.zeros_like(seen)])
+            if seen[li, pi]:
                 raise UnbalancedPanelError(
                     f"duplicate observation for location {loc!r}, period {per!r} "
                     f"at row {rownum}"
                 )
-            records[key] = (yval, xvals)
-            if loc not in loc_seen:
-                loc_seen.add(loc)
-                loc_order.append(loc)
-            if per not in per_seen:
-                per_seen.add(per)
-                per_order.append(per)
+            seen[li, pi] = True
+            loc_of_row.append(li)
+            per_of_row.append(pi)
 
-    n, t = len(loc_order), len(per_order)
+    n, t = len(loc_index), len(per_index)
     if n == 0:
         raise ParseError("file contains a header but no data rows", row=2)
-    if len(records) != n * t:
-        for per in per_order:
-            for loc in loc_order:
-                if (loc, per) not in records:
-                    raise UnbalancedPanelError(
-                        f"missing observation for location {loc!r}, period {per!r}"
-                    )
-    y = np.empty(n * t)
-    x = np.empty((n * t, len(xnames)))
-    for ti, per in enumerate(per_order):
-        for li, loc in enumerate(loc_order):
-            yval, xvals = records[(loc, per)]
-            y[li + n * ti] = yval
-            x[li + n * ti] = xvals
+    if len(loc_of_row) != n * t:
+        pi, li = np.argwhere(~seen[:n, :t].T)[0]
+        raise UnbalancedPanelError(
+            f"missing observation for location {list(loc_index)[li]!r}, "
+            f"period {list(per_index)[pi]!r}"
+        )
+    stacked_row = np.frombuffer(loc_of_row, dtype=np.int64) + n * np.frombuffer(
+        per_of_row, dtype=np.int64
+    )
+    order = np.empty(n * t, dtype=np.intp)
+    order[stacked_row] = np.arange(n * t)
+    stacked = np.frombuffer(values).reshape(n * t, -1)[order]
+    del values
     return PanelDataset(
-        response=y,
-        regressors=x,
+        response=stacked[:, 0],
+        regressors=stacked[:, 1:],
         regressor_names=tuple(xnames),
-        location_ids=tuple(loc_order),
-        period_ids=tuple(per_order),
+        location_ids=tuple(loc_index),
+        period_ids=tuple(per_index),
     )
 
 

@@ -22,9 +22,10 @@ from .errors import (
 )
 
 # Dense (n, n) storage is used throughout; beyond this the eigendecompositions
-# needed downstream stop being practical on a workstation.  A random-effects
-# fit holds at most five n x n float arrays at once while it builds the
-# whitener (about 0.67 GB at this limit), plus the weights themselves.
+# needed downstream stop being practical on a workstation.  Building the
+# random-effects whitener peaks at about 5.3 n x n float blocks of resident
+# memory, LAPACK's copies and workspace included (about 0.72 GB at this
+# limit, 171 MB at n = 2000), on top of the weights themselves.
 DENSE_LIMIT = 4096
 
 

@@ -263,6 +263,22 @@ def test_fit_refuses_unnormalized_neighbor_list_weights(panel_files, tmp_path, c
     assert main([*common, "--row-normalize", "--out-dir", str(tmp_path / "normalized")]) == 0
 
 
+@pytest.mark.parametrize("command", ["fit", "cv", "transform"])
+def test_knn_with_neighbor_list_weights_is_refused(panel_files, tmp_path, capsys, command):
+    # --knn builds weights from centroids only; with --weights it used to be
+    # ignored while echoed in the report's parameters
+    panel, _ = panel_files
+    neighbours = tmp_path / "edges.csv"
+    write_ring_edges(neighbours, 25)
+    args = [command, "--panel", panel, "--weights", str(neighbours), "--row-normalize",
+            "--knn", "3", "--cv", "time", "--mstop-budget", "50",
+            "--out-dir", str(tmp_path / "o")]
+    assert main(args) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["spboost: invalid input: --knn requires --centroids"]
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------------------
 # cv and transform subcommands
 

@@ -319,6 +319,44 @@ def test_import_leaves_scipy_cluster_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+SCIPY_LINALG_SCRIPT = """
+import sys
+import numpy as np
+import spboost.cli
+from spboost import (
+    BoostConfig, DgpConfig, ModelSpec, PanelDataset, build_knn_weights, fit_model, generate_panel,
+)
+
+def linalg_loaded():
+    return any(m.startswith("scipy.linalg") for m in sys.modules)
+
+rng = np.random.default_rng(0)
+n, t = 40, 3
+pts = rng.uniform(size=(n, 2))
+data = PanelDataset(
+    response=rng.normal(size=n * t),
+    regressors=rng.normal(size=(n * t, 4)),
+    regressor_names=("a", "b", "c", "d"),
+    location_ids=tuple(map(str, range(n))),
+    period_ids=("1", "2", "3"),
+    centroids=pts,
+)
+fit_model(data, build_knn_weights(pts, 5), ModelSpec(), BoostConfig(m_stop=50), n_folds=2)
+print(linalg_loaded())
+panel, _ = generate_panel(DgpConfig(n_locations=20, n_periods=2, n_candidates=4), 0)
+print(linalg_loaded(), panel.n_obs)
+"""
+
+
+def test_fit_on_row_normalized_weights_leaves_scipy_linalg_unloaded():
+    # only an LU factorization loads scipy.linalg: the DGP's solve does, a
+    # fit on row-normalized weights never factorizes
+    out = subprocess.run(
+        [sys.executable, "-c", SCIPY_LINALG_SCRIPT], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split("\n")[:2] == ["False", "True 40"]
+
+
 # ---------------------------------------------------------------------------
 # Time folds
 

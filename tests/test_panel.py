@@ -1,5 +1,8 @@
 """Panel dataset construction, design augmentation, and CSV round-trips."""
 
+import csv
+import random
+
 import numpy as np
 import pytest
 
@@ -414,3 +417,162 @@ def test_read_panel_csv_empty_and_header_only(tmp_path):
     path.write_text("location,period,y,x1\n")
     with pytest.raises(ParseError):
         read_panel_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# The reader against the row-by-row reference
+
+
+def read_panel_csv_by_rows(path):
+    """The reader that kept one Python list of floats per record in a dict."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ParseError("empty file", row=1)
+        header = [c.strip() for c in header]
+        if header[:3] != ["location", "period", "y"]:
+            raise ParseError("expected header to start with 'location,period,y'", row=1)
+        xnames = header[3:]
+        if len(set(xnames)) != len(xnames):
+            raise ParseError("duplicate regressor names in header", row=1)
+        records = {}
+        loc_order, per_order = [], []
+        loc_seen, per_seen = set(), set()
+        for rownum, rec in enumerate(reader, start=2):
+            if len(rec) != len(header):
+                raise ParseError(f"expected {len(header)} fields, got {len(rec)}", row=rownum)
+            loc, per = rec[0].strip(), rec[1].strip()
+            try:
+                yval = float(rec[2])
+                xvals = [float(v) for v in rec[3:]]
+            except ValueError as exc:
+                raise ParseError(str(exc), row=rownum) from None
+            key = (loc, per)
+            if key in records:
+                raise UnbalancedPanelError(
+                    f"duplicate observation for location {loc!r}, period {per!r} "
+                    f"at row {rownum}"
+                )
+            records[key] = (yval, xvals)
+            if loc not in loc_seen:
+                loc_seen.add(loc)
+                loc_order.append(loc)
+            if per not in per_seen:
+                per_seen.add(per)
+                per_order.append(per)
+    n, t = len(loc_order), len(per_order)
+    if n == 0:
+        raise ParseError("file contains a header but no data rows", row=2)
+    if len(records) != n * t:
+        for per in per_order:
+            for loc in loc_order:
+                if (loc, per) not in records:
+                    raise UnbalancedPanelError(
+                        f"missing observation for location {loc!r}, period {per!r}"
+                    )
+    y = np.empty(n * t)
+    x = np.empty((n * t, len(xnames)))
+    for ti, per in enumerate(per_order):
+        for li, loc in enumerate(loc_order):
+            yval, xvals = records[(loc, per)]
+            y[li + n * ti] = yval
+            x[li + n * ti] = xvals
+    return PanelDataset(
+        response=y,
+        regressors=x,
+        regressor_names=tuple(xnames),
+        location_ids=tuple(loc_order),
+        period_ids=tuple(per_order),
+    )
+
+
+def read_outcome(reader, path):
+    """Labels and array bytes (so -0.0 counts), or the error's type, text and row."""
+    try:
+        data = reader(path)
+    except ValidationError as exc:
+        return type(exc), str(exc), getattr(exc, "row", None)
+    return (
+        data.location_ids,
+        data.period_ids,
+        data.regressor_names,
+        data.response.tobytes(),
+        data.regressors.tobytes(),
+    )
+
+
+def assert_reads_like_reference(path):
+    want = read_outcome(read_panel_csv_by_rows, path)
+    assert read_outcome(read_panel_csv, path) == want
+    return want
+
+
+def test_reader_matches_reference_on_round_trip_and_shuffled_rows(tmp_path):
+    data = make_panel(30, 4, 5, seed=3, with_centroids=False)
+    path = tmp_path / "panel.csv"
+    write_panel_csv(path, data)
+    want = assert_reads_like_reference(path)
+    assert want[3] == data.response.tobytes() and want[4] == data.regressors.tobytes()
+    header, *rows = path.read_bytes().split(b"\r\n")[:-1]
+    for seed in range(3):
+        random.Random(seed).shuffle(rows)
+        shuffled = tmp_path / f"shuffled{seed}.csv"
+        shuffled.write_bytes(b"\n".join([header, *rows]) + b"\n")
+        labels = assert_reads_like_reference(shuffled)[:2]
+        assert sorted(labels[0]) == sorted(data.location_ids)
+
+
+HEADER = "location,period,y,x1\n"
+
+ACCEPTED = {
+    "quoted-labels": (
+        HEADER + '"a,b",1,1.0,2.0\n"say ""hi""",1,3.0,4.0\n"a,b",2,5.0,6.0\n'
+        '"say ""hi""",2,7.0,8.0\n'
+    ),
+    "label-spanning-lines": (
+        HEADER + '"two\nlines",1,1.0,2.0\nb,1,3.0,4.0\n"two\nlines",2,5.0,6.0\n'
+        "b,2,7.0,8.0\n"
+    ),
+    "whitespace": HEADER + " a , 1 , 1.5 ,\t2\nb,1,  -3 ,4.25  \n",
+    "exponents-and-underscores": HEADER + "a,1,1e-300,2.5E+10\nb,1,-7e5,1_000.5\n",
+    "signed-zero-and-subnormals": (
+        HEADER + "a,1,-0.0,5e-324\nb,1,0.0,2.2250738585072014e-309\nc,1,-4.9e-324,-0\n"
+    ),
+    "crlf-and-bare-cr": "location,period,y,x1\r\na,1,1,2\rb,1,3,4\r\na,2,5,6\rb,2,7,8",
+    "extra-blank-free-last-line": HEADER + "a,1,1,2\nb,1,3,4",
+}
+
+REFUSED = {
+    "nan": HEADER + "a,1,nan,2\nb,1,3,4\n",
+    "inf": HEADER + "a,1,1,-inf\nb,1,3,Infinity\n",
+    "bad-value": HEADER + "a,1,1,2\nb,1,oops,4\n",
+    "empty-value": HEADER + "a,1,1,\n",
+    "field-count": HEADER + "a,1,1,2\nb,1,3\n",
+    "blank-line": HEADER + "a,1,1,2\n\nb,1,3,4\n",
+    "duplicate": HEADER + "a,1,1,2\nb,1,3,4\n a ,1,5,6\n",
+    "duplicate-before-bad-value": HEADER + "a,1,1,2\na,1,3,4\nb,1,x,4\n",
+    "bad-value-before-duplicate": HEADER + "a,1,1,2\nb,1,x,4\na,1,3,4\n",
+    "missing": HEADER + "a,1,1,2\nb,1,3,4\nc,2,5,6\na,2,7,8\n",
+    "missing-period": HEADER + "a,1,1,2\nb,2,3,4\n",
+    "bad-header": "loc,period,y\na,1,0.0\n",
+    "duplicate-regressor-names": "location,period,y,x,x\na,1,1,2,3\n",
+    "header-only": HEADER,
+    "empty": "",
+}
+
+
+@pytest.mark.parametrize("text", ACCEPTED.values(), ids=ACCEPTED.keys())
+def test_reader_matches_reference_on_accepted_files(tmp_path, text):
+    path = tmp_path / "panel.csv"
+    path.write_bytes(text.encode())
+    outcome = assert_reads_like_reference(path)
+    assert isinstance(outcome[0], tuple)
+
+
+@pytest.mark.parametrize("text", REFUSED.values(), ids=REFUSED.keys())
+def test_reader_matches_reference_on_refused_files(tmp_path, text):
+    path = tmp_path / "panel.csv"
+    path.write_bytes(text.encode())
+    outcome = assert_reads_like_reference(path)
+    assert issubclass(outcome[0], ValidationError)
