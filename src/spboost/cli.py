@@ -142,6 +142,8 @@ def _load_inputs(args):
     if args.centroids is not None:
         if args.knn is None:
             raise ValidationError("--centroids requires --knn")
+        if args.row_normalize:
+            raise ValidationError("--row-normalize requires --weights")
         _, pts = read_centroid_csv(args.centroids, list(data.location_ids))
         weights = build_knn_weights(pts, args.knn)
         data = dataclasses.replace(data, centroids=pts)

@@ -91,8 +91,10 @@ class NoLearnerError(EstimationError):
 
 
 class EstimationFailureError(EstimationError):
-    """Optimizer failed to converge from every starting point.
+    """A moment solve gave no usable estimate.
 
+    Raised when no start of the solver gives a finite objective, or when
+    the idiosyncratic variance comes out zero on non-degenerate data.
     Carries the best candidate found and its residual norm for diagnosis.
     """
 

@@ -11,7 +11,10 @@ because the idiosyncratic contribution cancels in expectation.
 Each set of three moment conditions is arranged as a 3x3 coefficient matrix
 ``G`` against the unknowns (rho, rho^2, sigma^2) and a 3-vector of sample
 moments, and solved as a small nonlinear least-squares problem in
-(rho, sigma^2) by multi-start damped Gauss-Newton.
+(rho, sigma^2): a damped Gauss-Newton from several rho starts, guarded by a
+dense scan of the objective profiled down to rho.  The solution carries its
+objective and its clamp, boundary and degenerate flags; there is no
+convergence flag, since the result is the lowest objective found.
 """
 
 from __future__ import annotations
@@ -89,11 +92,13 @@ class MomentSolution:
     rho: float
     sigma2: float
     objective: float
-    residual_norm: float
-    converged: bool
     rho_at_boundary: bool
     sigma_clamped: bool
     degenerate: bool = False
+
+    @property
+    def residual_norm(self) -> float:
+        return float(np.sqrt(self.objective))
 
 
 @dataclass(frozen=True)
@@ -186,10 +191,22 @@ def initial_residuals(
 def _moment_system(
     triple: ResidualTriple,
     weights: SpatialWeights,
-    projector: TimeProjector,
-    scale: float,
+    n_periods: int,
+    kind: ProjectorKind,
     target: str,
 ) -> MomentSystem:
+    """Three moment conditions from quadratic forms in one time projector.
+
+    WITHIN forms are averaged over n*(T-1) observations, BETWEEN_CONTRAST
+    forms over n*T.
+    """
+    if n_periods < 2:
+        raise ValidationError(f"{target.replace('_', '-')} moments need at least two periods")
+    n = weights.n_locations
+    if triple.residuals.shape[0] != n * n_periods:
+        raise ValidationError("residual length does not match n_locations * n_periods")
+    projector = TimeProjector(kind, n, n_periods)
+    scale = 1.0 / (n * (n_periods - 1 if kind is ProjectorKind.WITHIN else n_periods))
     v = triple.residuals
     v1 = triple.lagged
     v2 = triple.double_lagged
@@ -216,14 +233,7 @@ def idiosyncratic_moment_system(
     Built from quadratic forms in the WITHIN projector, which removes the
     time-constant location effect from every residual.
     """
-    if n_periods < 2:
-        raise ValidationError("idiosyncratic moments need at least two periods")
-    n = weights.n_locations
-    if triple.residuals.shape[0] != n * n_periods:
-        raise ValidationError("residual length does not match n_locations * n_periods")
-    projector = TimeProjector(ProjectorKind.WITHIN, n, n_periods)
-    scale = 1.0 / (n * (n_periods - 1))
-    return _moment_system(triple, weights, projector, scale, "idiosyncratic")
+    return _moment_system(triple, weights, n_periods, ProjectorKind.WITHIN, "idiosyncratic")
 
 
 def location_effect_moment_system(
@@ -235,26 +245,24 @@ def location_effect_moment_system(
     which the idiosyncratic contribution has expectation zero while the
     time-constant location effect passes through unchanged.
     """
-    if n_periods < 2:
-        raise ValidationError("location-effect moments need at least two periods")
-    n = weights.n_locations
-    if triple.residuals.shape[0] != n * n_periods:
-        raise ValidationError("residual length does not match n_locations * n_periods")
-    projector = TimeProjector(ProjectorKind.BETWEEN_CONTRAST, n, n_periods)
-    scale = 1.0 / (n * n_periods)
-    return _moment_system(triple, weights, projector, scale, "location_effect")
+    return _moment_system(
+        triple, weights, n_periods, ProjectorKind.BETWEEN_CONTRAST, "location_effect"
+    )
 
 
-def _closed_form_sigma(system: MomentSystem, rho: float) -> float:
-    """Least-squares sigma^2 at fixed rho, before the sigma^2 >= 0 clamp."""
+def _closed_form_sigma(system: MomentSystem, rho):
+    """Least-squares sigma^2 at fixed rho, before the sigma^2 >= 0 clamp.
+
+    ``rho`` is a float, or an (N, 1) column for N values at once.
+    """
     c = system.matrix[:, 2]
     rhs = system.vector - system.matrix[:, 0] * rho - system.matrix[:, 1] * rho * rho
-    return float((c @ rhs) / (c @ c))
+    return (rhs @ c) / (c @ c)
 
 
 def _profile_sigma(system: MomentSystem, rho: float) -> float:
     """Non-negative closed-form sigma^2 minimizing the residual at this rho."""
-    return max(_closed_form_sigma(system, rho), 0.0)
+    return max(float(_closed_form_sigma(system, rho)), 0.0)
 
 
 def _profiled_global_minimum(system: MomentSystem) -> tuple[float, float, float]:
@@ -264,21 +272,13 @@ def _profiled_global_minimum(system: MomentSystem) -> tuple[float, float, float]
     objective reduces to a piecewise-quartic function of rho on the box.
     A dense scan locates its basin and golden-section refinement pins the
     minimizer, with the box edges checked explicitly.  This cannot stall
-    the way a damped Newton iteration can, so it serves as the fallback
-    (and global-optimality guard) for the multi-start solver.
+    the way a damped Newton iteration can, so it guards the multi-start
+    solver against a poor basin or a run stalled against a clamp.
     """
     rhos = np.linspace(-RHO_BOUND, RHO_BOUND, 4001)
-    c = system.matrix[:, 2]
-    cc = float(c @ c)
-    rhs = (
-        system.vector[:, None]
-        - np.outer(system.matrix[:, 0], rhos)
-        - np.outer(system.matrix[:, 1], rhos * rhos)
-    )
-    sigmas = np.clip((c @ rhs) / cc, 0.0, None)
-    resid = np.outer(c, sigmas) - rhs
-    objs = np.einsum("ij,ij->j", resid, resid)
-    i = int(np.argmin(objs))
+    sigmas = np.maximum(_closed_form_sigma(system, rhos[:, None]), 0.0)
+    resid = system.matrix @ np.vstack([rhos, rhos * rhos, sigmas]) - system.vector[:, None]
+    i = int(np.argmin(np.einsum("ij,ij->j", resid, resid)))
 
     def g(rho):
         f = system.residual(rho, _profile_sigma(system, rho))
@@ -309,7 +309,7 @@ def _profiled_global_minimum(system: MomentSystem) -> tuple[float, float, float]
 
 def _solve_sigma_given_rho(system: MomentSystem, rho: float) -> tuple[float, bool]:
     """Closed-form sigma^2 with rho held fixed, clamped at zero with a warning."""
-    sigma2 = _closed_form_sigma(system, rho)
+    sigma2 = float(_closed_form_sigma(system, rho))
     clamped = sigma2 < 0.0
     if clamped:
         warnings.warn(
@@ -323,39 +323,33 @@ def _solve_sigma_given_rho(system: MomentSystem, rho: float) -> tuple[float, boo
 def _gauss_newton(system: MomentSystem, rho0: float, sigma0: float):
     """Damped Gauss-Newton from one start, with box projection.
 
-    rho is kept in [-RHO_BOUND, RHO_BOUND] and sigma^2 non-negative.
-    Returns (params, objective, converged).
+    rho is kept in [-RHO_BOUND, RHO_BOUND] and sigma^2 non-negative.  The
+    iteration stops at a stationary point of the projected gradient, when
+    no damped step lowers the objective, or after MAX_ITERATIONS.
+    Returns (params, objective).
     """
     matrix = system.matrix
 
     def resid(p):
         return system.residual(p[0], p[1])
 
-    def projected_gradient(p, grad):
-        pg = grad.copy()
-        if p[0] <= -RHO_BOUND and grad[0] > 0:
-            pg[0] = 0.0
-        if p[0] >= RHO_BOUND and grad[0] < 0:
-            pg[0] = 0.0
-        if p[1] <= 0.0 and grad[1] > 0:
-            pg[1] = 0.0
-        return pg
-
     p = np.array([float(np.clip(rho0, -RHO_BOUND, RHO_BOUND)), max(sigma0, 0.0)])
     f = resid(p)
     obj = float(f @ f)
     if not np.isfinite(obj):
-        return p, np.inf, False
+        return p, np.inf
     jac0 = np.column_stack([matrix[:, 0] + 2 * p[0] * matrix[:, 1], matrix[:, 2]])
     scale = max(1.0, float(np.linalg.norm(2 * jac0.T @ f)))
     lam = 1e-3
-    converged = False
     for _ in range(MAX_ITERATIONS):
         jac = np.column_stack([matrix[:, 0] + 2 * p[0] * matrix[:, 1], matrix[:, 2]])
-        grad = 2.0 * (jac.T @ f)
-        pg = projected_gradient(p, grad)
+        # the gradient, without the components that push out of the box
+        pg = 2.0 * (jac.T @ f)
+        if (p[0] <= -RHO_BOUND and pg[0] > 0) or (p[0] >= RHO_BOUND and pg[0] < 0):
+            pg[0] = 0.0
+        if p[1] <= 0.0 and pg[1] > 0:
+            pg[1] = 0.0
         if np.linalg.norm(pg) < GRADIENT_TOL * scale:
-            converged = True
             break
         jtj = jac.T @ jac
         damping_base = np.diag(np.maximum(np.diag(jtj), 1e-12))
@@ -379,12 +373,10 @@ def _gauss_newton(system: MomentSystem, rho0: float, sigma0: float):
             lam *= 10.0
         if not improved:
             break
-    # Polish before judging convergence.  Iterates can creep toward a box
-    # edge in ever-shrinking accepted steps and run out the iteration budget
-    # just short of it, where the raw gradient still looks large even though
-    # the constrained minimum sits exactly on the edge.  Refresh sigma^2 with
-    # its closed form (the problem is linear in sigma^2 at fixed rho) and try
-    # the exact edge when rho stalled next to one, then re-test stationarity.
+    # Polish.  Iterates can creep toward a box edge in ever-shrinking
+    # accepted steps and run out the iteration budget just short of it.
+    # Refresh sigma^2 with its closed form (the problem is linear in sigma^2
+    # at fixed rho) and try the exact edge when rho stalled next to one.
     candidates = [np.array([p[0], _profile_sigma(system, p[0])])]
     if RHO_BOUND - abs(p[0]) < 1e-6:
         edge = RHO_BOUND if p[0] > 0 else -RHO_BOUND
@@ -393,22 +385,20 @@ def _gauss_newton(system: MomentSystem, rho0: float, sigma0: float):
         fc = resid(cand)
         oc = float(fc @ fc)
         if np.isfinite(oc) and oc <= obj:
-            p, f, obj = cand, fc, oc
-    if not converged:
-        jac = np.column_stack([matrix[:, 0] + 2 * p[0] * matrix[:, 1], matrix[:, 2]])
-        pg = projected_gradient(p, 2.0 * (jac.T @ f))
-        converged = bool(np.linalg.norm(pg) < 1e-6 * scale)
-    return p, obj, converged
+            p, obj = cand, oc
+    return p, obj
 
 
 def solve_moment_system(system: MomentSystem, fixed_rho: float | None = None) -> MomentSolution:
     """Solve three moment conditions for (rho, sigma^2).
 
     With ``fixed_rho`` the problem is linear in sigma^2 and solved in closed
-    form; otherwise a damped Gauss-Newton runs from five rho starts and
-    keeps the lowest objective (ties to the earlier start).  A system whose
-    data-dependent entries are all zero carries no information and returns
-    (0, 0) with a warning.
+    form.  Otherwise a damped Gauss-Newton runs from five rho starts and
+    keeps the lowest finite objective (ties to the earlier start); the
+    profiled scan of ``_profiled_global_minimum`` replaces it when strictly
+    lower.  No convergence flag is reported: the result is the best point
+    found, with its objective.  A system whose data-dependent entries are
+    all zero carries no information and returns (0, 0) with a warning.
     """
     informative = np.concatenate([system.matrix[:, 0], system.matrix[:, 1], system.vector])
     if np.all(informative == 0.0):
@@ -421,8 +411,6 @@ def solve_moment_system(system: MomentSystem, fixed_rho: float | None = None) ->
             rho=rho,
             sigma2=0.0,
             objective=0.0,
-            residual_norm=0.0,
-            converged=True,
             rho_at_boundary=False,
             sigma_clamped=False,
             degenerate=True,
@@ -433,51 +421,34 @@ def solve_moment_system(system: MomentSystem, fixed_rho: float | None = None) ->
             raise ValidationError(f"fixed rho must satisfy |rho| < 1, got {fixed_rho}")
         sigma2, clamped = _solve_sigma_given_rho(system, fixed_rho)
         res = system.residual(fixed_rho, sigma2)
-        obj = float(res @ res)
         return MomentSolution(
             rho=float(fixed_rho),
             sigma2=sigma2,
-            objective=obj,
-            residual_norm=float(np.sqrt(obj)),
-            converged=True,
+            objective=float(res @ res),
             rho_at_boundary=False,
             sigma_clamped=clamped,
         )
 
     best = None
-    any_converged = False
-    for idx, rho0 in enumerate(MULTI_STARTS):
+    for rho0 in MULTI_STARTS:
         # the first moment row has unit coefficient on sigma^2
         sigma0 = max(
             float(system.vector[0] - system.matrix[0, 0] * rho0 - system.matrix[0, 1] * rho0**2),
             0.0,
         )
-        p, obj, converged = _gauss_newton(system, rho0, sigma0)
-        any_converged = any_converged or converged
+        p, obj = _gauss_newton(system, rho0, sigma0)
         if np.isfinite(obj) and (best is None or obj < best[1]):
-            best = (p, obj, idx)
+            best = (p, obj)
     if best is None:
         raise EstimationFailureError(
             f"no start produced a finite objective for the {system.target} moments",
             candidate=None,
             residual_norm=float("nan"),
         )
-    p, obj, _ = best
-    # Guard the multi-start iteration with the profiled global minimum: it
-    # rescues the rare instance where every damped Newton run stalls against
-    # the sigma^2 >= 0 clamp short of stationarity, and it upgrades any run
-    # that settled into a worse local basin.
+    p, obj = best
     rho_prof, sigma_prof, obj_prof = _profiled_global_minimum(system)
-    if np.isfinite(obj_prof) and (obj_prof < obj or not any_converged):
-        if obj_prof < obj:
-            p = np.array([rho_prof, sigma_prof])
-            obj = obj_prof
-    elif not any_converged:
-        raise EstimationFailureError(
-            f"the optimizer failed to converge from every start ({system.target} moments)",
-            candidate=(float(p[0]), float(p[1])),
-            residual_norm=float(np.sqrt(obj)),
-        )
+    if obj_prof < obj:
+        p, obj = np.array([rho_prof, sigma_prof]), obj_prof
     sigma_clamped = False
     sigma2 = float(p[1])
     if sigma2 == 0.0:
@@ -487,8 +458,6 @@ def solve_moment_system(system: MomentSystem, fixed_rho: float | None = None) ->
         rho=float(p[0]),
         sigma2=sigma2,
         objective=obj,
-        residual_norm=float(np.sqrt(obj)),
-        converged=True,
         rho_at_boundary=bool(abs(p[0]) >= RHO_BOUND - 1e-12),
         sigma_clamped=sigma_clamped,
     )

@@ -25,7 +25,7 @@ from .boosting import BoostConfig
 from .crossval import FoldKind
 from .errors import AlignmentError, ValidationError
 from .linalg import SpatialFilter
-from .panel import INTERCEPT_NAME, LAG_PREFIX, ModelSpec, PanelDataset
+from .panel import INTERCEPT_NAME, LAG_PREFIX, ModelSpec, PanelDataset, spatial_lag
 from .pipeline import fit_model
 from .weights import SpatialWeights, build_knn_weights
 
@@ -157,7 +157,7 @@ def generate_panel(
     noise = np.tile(u_loc, t) + u_idio
 
     # spatial lags per period, used only to build the response
-    lag = np.einsum("ij,tjk->tik", weights.matrix, x.reshape(t, n, p)).reshape(n * t, p)
+    lag = spatial_lag(x, weights, t)
     base_index = {s: j for j, s in enumerate(cfg.base_names)}
     eta = np.zeros(n * t)
     for name, coef in cfg.true_coefficients.items():

@@ -279,6 +279,20 @@ def test_knn_with_neighbor_list_weights_is_refused(panel_files, tmp_path, capsys
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["fit", "cv", "transform"])
+def test_row_normalize_with_centroids_is_refused(panel_files, tmp_path, capsys, command):
+    # kNN weights are row-normalized already; the flag used to be ignored
+    # while echoed in the report's parameters
+    panel, centroids = panel_files
+    args = [command, "--panel", panel, "--centroids", centroids, "--knn", "3",
+            "--row-normalize", "--cv", "time", "--mstop-budget", "50",
+            "--out-dir", str(tmp_path / "o")]
+    assert main(args) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["spboost: invalid input: --row-normalize requires --weights"]
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------------------
 # cv and transform subcommands
 

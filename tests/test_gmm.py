@@ -218,10 +218,15 @@ def test_between_contrast_fixes_time_constant_vectors():
 def test_moment_systems_need_two_periods():
     w, _ = make_weights(3, seed=0, k=1)
     triple = make_triple(np.zeros(3), w, 1)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="idiosyncratic moments need at least two"):
         idiosyncratic_moment_system(triple, w, 1)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="location-effect moments need at least two"):
         location_effect_moment_system(triple, w, 1)
+    # residuals for two periods of three locations, declared as three periods
+    short = make_triple(np.zeros(6), w, 2)
+    for builder in (idiosyncratic_moment_system, location_effect_moment_system):
+        with pytest.raises(ValidationError, match="residual length does not match"):
+            builder(short, w, 3)
 
 
 def test_moment_system_validates_structural_column():
@@ -251,8 +256,8 @@ def test_solver_recovers_exact_pair():
     solution = solve_moment_system(exact_system(base, 0.5, 2.0))
     assert abs(solution.rho - 0.5) <= 1e-6
     assert abs(solution.sigma2 - 2.0) <= 1e-6
-    assert solution.converged
     assert solution.residual_norm <= 1e-6
+    assert solution.residual_norm == np.sqrt(solution.objective)
 
 
 @pytest.mark.parametrize("rho", [-0.8, -0.4, 0.0, 0.4, 0.8])
@@ -317,7 +322,6 @@ def test_clamped_minimum_does_not_stall():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             solution = solve_moment_system(system)
-        assert solution.converged
         assert solution.sigma2 == 0.0
         assert solution.sigma_clamped  # the unclamped closed form is negative
         # nothing on a fine grid of feasible points does better
@@ -332,6 +336,41 @@ def test_boundary_minimum_is_flagged():
     solution = solve_moment_system(exact_system(base, RHO_BOUND, 1.0))
     assert solution.rho_at_boundary
     assert abs(abs(solution.rho) - RHO_BOUND) <= 1e-6
+
+
+@pytest.mark.parametrize("kind", ["random", "exact", "clamped", "boundary"])
+def test_no_dense_scan_point_beats_the_solver(kind):
+    # Oracle: a 20,001-point rho scan, each point with its clamped
+    # closed-form sigma^2, finds no objective lower than the solver's by
+    # more than 1e-12 relative to the larger of the solver's objective and
+    # the objective at the origin, ||vector||^2 (exact systems reach zero).
+    grid = np.linspace(-RHO_BOUND, RHO_BOUND, 20001)
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-3, 1)
+        trace_ratio = rng.uniform(0.05, 1.0)
+        matrix = rng.normal(size=(3, 3)) * scale
+        matrix[:, 2] = (1.0, trace_ratio, 0.0)
+        if kind == "boundary":
+            rho = rng.choice([-1.0, 1.0]) * rng.choice([RHO_BOUND, 1.2])
+        else:
+            rho = rng.uniform(-0.95, 0.95)
+        sigma2 = rng.uniform(0.1, 5.0) * scale * (-1.0 if kind == "clamped" else 1.0)
+        vector = matrix @ np.array([rho, rho * rho, sigma2])
+        if kind == "random":
+            vector = rng.normal(size=3) * scale
+        system = MomentSystem(
+            matrix=matrix, vector=vector, target="idiosyncratic", trace_ratio=trace_ratio
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            solution = solve_moment_system(system)
+        c = matrix[:, 2]
+        rhs = vector[:, None] - np.outer(matrix[:, 0], grid) - np.outer(matrix[:, 1], grid**2)
+        resid = np.outer(c, np.maximum(c @ rhs / (c @ c), 0.0)) - rhs
+        scan = np.einsum("ij,ij->j", resid, resid)
+        scale_obj = max(solution.objective, float(vector @ vector))
+        assert scan.min() >= solution.objective - 1e-12 * scale_obj, (kind, seed)
 
 
 def test_fixed_rho_uses_closed_form():
