@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boosting import BoostConfig, _cv_risk_path
+from .boosting import BoostConfig, _gram_path
 from .errors import DegenerateGeometryError, ValidationError
 
 KMEANS_RESTARTS = 50
@@ -238,11 +238,10 @@ def boost_cv_curve(
     remaining folds; entry 0 belongs to the zero model.  Training columns
     that are identically zero within a fold are excluded for that fold only.
 
-    Each fold updates the training correlations through cached Gram
-    columns, ``Z'r <- Z'r - step * Z'z_j``, and never forms the training
-    residual (see ``boosting``).  The curve therefore equals a fold-by-fold
-    replay of ``boost`` on the training rows up to rounding only; the
-    coefficients of a fit come from the direct path.  Each fold's held-out
+    Each fold runs the one boosting kernel (``boosting._gram_path``) on its
+    training rows, with its held-out rows as the held-out pair, so the
+    curve is the held-out risk of the very selection path and steps that
+    ``boost`` would take on those training rows.  Each fold's held-out
     design is passed transposed and C-contiguous, so that a step reads one
     contiguous row.  Folds run one after another, not in lockstep: a
     bit-identical lockstep must hold every fold's training design and Gram
@@ -256,7 +255,7 @@ def boost_cv_curve(
     def one_fold(f: int) -> np.ndarray:
         train = plan.assignment != f
         test = ~train
-        return _cv_risk_path(
+        return _gram_path(
             y[train],
             z[train],
             y[test],
@@ -264,7 +263,7 @@ def boost_cv_curve(
             config.learning_rate,
             config.m_stop,
             warn_label=f"fold {f} training data",
-        )
+        )[2]
 
     return np.mean([one_fold(f) for f in range(plan.n_folds)], axis=0)
 

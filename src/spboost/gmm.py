@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .boosting import BoostConfig, _boost_path
+from .boosting import BoostConfig, _direct_coefficients
 from .crossval import FoldPlan, boost_cv_curve, choose_stopping_iteration, make_time_folds
 from .errors import EstimationFailureError, ValidationError
 from .linalg import ProjectorKind, TimeProjector
@@ -180,7 +180,7 @@ def initial_residuals(
         plan = plan or make_time_folds(data.n_locations, data.n_periods)
         curve = boost_cv_curve(y, z, plan, cfg)
         m_opt = choose_stopping_iteration(curve)
-        coef = _boost_path(y, z, cfg.learning_rate, m_opt)[0]
+        coef = _direct_coefficients(y, z, cfg.learning_rate, m_opt)
         resid = y - z @ coef
 
     lag1 = spatial_lag(resid, weights, data.n_periods)
@@ -213,7 +213,7 @@ def _moment_system(
     pv = projector.apply(v)
     pv1 = projector.apply(v1)
     pv2 = projector.apply(v2)
-    trace_ratio = float((weights.matrix * weights.matrix).sum()) / weights.n_locations
+    trace_ratio = weights.trace_ratio
     matrix = np.array(
         [
             [2 * scale * (v1 @ pv), -scale * (v1 @ pv1), 1.0],

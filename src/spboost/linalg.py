@@ -134,16 +134,6 @@ class SpatialFilter:
     def matrix(self) -> np.ndarray:
         return self._matrix
 
-    def apply(self, values: np.ndarray, n_periods: int = 1) -> np.ndarray:
-        """(I - rho W) v within each period block."""
-        v = np.asarray(values, dtype=float)
-        n = self.weights.n_locations
-        if v.shape[0] != n * n_periods:
-            raise ValidationError(f"expected {n * n_periods} rows, got {v.shape[0]}")
-        cube = v.reshape(n_periods, n, -1)
-        out = np.einsum("ij,tjk->tik", self._matrix, cube)
-        return out.reshape(v.shape)
-
     def solve(self, values: np.ndarray, n_periods: int = 1) -> np.ndarray:
         """(I - rho W)^{-1} v within each period block."""
         v = np.asarray(values, dtype=float)

@@ -9,6 +9,7 @@ result reproducible regardless of how the distances happen to round.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -68,6 +69,11 @@ class SpatialWeights:
     @property
     def n_locations(self) -> int:
         return self.matrix.shape[0]
+
+    @functools.cached_property
+    def trace_ratio(self) -> float:
+        """tr(W'W) / n, computed once: it needs an n x n temporary."""
+        return float((self.matrix * self.matrix).sum()) / self.n_locations
 
     def fingerprint(self) -> str:
         """Short content hash of the matrix, for telling weight matrices apart."""

@@ -598,7 +598,7 @@ def test_version_flag_exits_cleanly(capsys):
     assert "spboost" in capsys.readouterr().out
 
 
-def test_threads_default_comes_from_environment(monkeypatch):
+def test_threads_flag_is_accepted_and_ignored(monkeypatch):
     # --threads is accepted and ignored; its default no longer reads the
     # environment, whatever SPBOOST_THREADS says
     monkeypatch.setenv("SPBOOST_THREADS", "4")

@@ -9,7 +9,7 @@ import pytest
 from scipy.cluster.vq import ClusterError, kmeans2
 
 import spboost.crossval
-from spboost.boosting import BoostConfig, _screen_columns, boost
+from spboost.boosting import BoostConfig, _direct_coefficients, _screen_columns, boost
 from spboost.crossval import (
     KMEANS_MAX_ITER,
     KMEANS_RESTARTS,
@@ -428,28 +428,64 @@ def test_cv_curve_matches_brute_force_two_fold(rng):
     assert np.allclose(curve, expected, atol=1e-12)
 
 
+def _direct_reference_path(response, design, learning_rate, n_iterations, active=None):
+    """Componentwise boosting that recomputes Z'r from the residual every step.
+
+    Independent of the Gram-update kernel in ``boosting``; ``active`` is a
+    boolean mask of selectable columns, and identically zero columns are
+    dropped from it as ``_screen_columns`` drops them.  Returns
+    (coefficients, selection, increments, risk_path, dead).
+    """
+    y = np.asarray(response, dtype=float)
+    z = np.asarray(design, dtype=float)
+    n, k = z.shape
+    inv_norms2, selectable, dead = _screen_columns(z, active)
+
+    resid = y.copy()
+    coef = np.zeros(k)
+    selection = np.empty(n_iterations, dtype=np.int64)
+    increments = np.empty(n_iterations)
+    risk = np.empty(n_iterations + 1)
+    risk[0] = (resid @ resid) / n
+
+    neg_inf = np.full(k, -np.inf)
+    for m in range(n_iterations):
+        corr = z.T @ resid
+        scores = np.where(selectable, corr * corr * inv_norms2, neg_inf)
+        j = int(np.argmax(scores))
+        step = learning_rate * corr[j] * inv_norms2[j]
+        coef[j] += step
+        resid -= step * z[:, j]
+        selection[m] = j
+        increments[m] = step
+        risk[m + 1] = (resid @ resid) / n
+    return coef, selection, increments, risk, dead
+
+
 def boost_replay(y, z, plan, cfg, excluded=None):
-    """The CV curve replayed fold by fold from boost() on the training rows.
+    """The CV curve replayed fold by fold from the direct reference path.
 
     ``excluded`` maps a fold to the column indices its boost leaves out.
-    Returns the fold-averaged held-out risk and each fold's BoostFit.
+    Returns the fold-averaged held-out risk and each fold's selection path.
     """
     excluded = excluded or {}
-    fits, fold_curves = [], []
+    paths, fold_curves = [], []
     for f in range(plan.n_folds):
         train = plan.assignment != f
         test = ~train
-        td = make_td(y[train], z[train])
         active = None
         if f in excluded:
-            active = [c for i, c in enumerate(td.names) if i not in excluded[f]]
-        fit = boost(td, cfg, active_columns=active)
-        steps = z[test][:, fit.selection_path] * fit.increments
+            active = np.ones(z.shape[1], dtype=bool)
+            active[list(excluded[f])] = False
+        _, selection, increments, _, _ = _direct_reference_path(
+            y[train], z[train], cfg.learning_rate, cfg.m_stop, active=active
+        )
+        steps = z[test][:, selection] * increments
         resid = y[test][:, None] - np.cumsum(steps, axis=1)
         risks = np.concatenate([[np.mean(y[test] ** 2)], np.mean(resid**2, axis=0)])
-        fits.append(fit)
+        paths.append(selection)
         fold_curves.append(risks)
-    return np.mean(fold_curves, axis=0), fits
+    return np.mean(fold_curves, axis=0), paths
 
 
 def random_fold_plan(rng, n, t, n_folds):
@@ -465,7 +501,8 @@ def random_fold_plan(rng, n, t, n_folds):
 )
 def test_cv_curve_matches_boost_replay_over_seeds(n, t, k, m_stop):
     # The Gram-cached kernel updates Z'r incrementally, so it may differ from
-    # boost(), which recomputes Z'r every iteration, only by rounding.
+    # the direct reference, which recomputes Z'r every iteration, only by
+    # rounding.
     cfg = BoostConfig(m_stop=m_stop)
     for seed in range(50):
         rng = np.random.default_rng(seed)
@@ -478,6 +515,55 @@ def test_cv_curve_matches_boost_replay_over_seeds(n, t, k, m_stop):
         expected, _ = boost_replay(y, z, plan, cfg)
         assert np.max(np.abs(curve - expected) / expected) <= 1e-10, seed
         assert choose_stopping_iteration(curve) == choose_stopping_iteration(expected), seed
+
+
+@pytest.mark.parametrize(
+    "rows, k, m_stop",
+    [(200, 8, 200), (36, 80, 300), (60, 10, 2000)],
+    ids=["tall", "wide", "long"],
+)
+def test_boost_matches_direct_reference_over_seeds(rows, k, m_stop):
+    # boost() runs the Gram-update kernel; the reference recomputes Z'r
+    cfg = BoostConfig(m_stop=m_stop)
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        y, z = _sparse_signal(rng, rows, k)
+        dead = int(rng.integers(k))
+        z[:, dead] = 0.0
+        subset = rng.random(k) < 0.6
+        subset[dead] = True
+        subset[rng.choice(np.setdiff1d(np.arange(k), [dead]))] = True
+        td = make_td(y, z)
+        for active in (None, subset):
+            names = None if active is None else [td.names[i] for i in np.nonzero(active)[0]]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                fit = boost(td, cfg, active_columns=names)
+                coef, selection, _, risk, dead_mask = _direct_reference_path(
+                    y, z, cfg.learning_rate, m_stop, active=active
+                )
+            # Once every correlation is at rounding level the argmax is noise:
+            # the paths must agree while each step's risk reduction is
+            # resolved, and the coefficients and risks over the whole path.
+            resolved = risk[:-1] - risk[1:] > 1e-12 * risk[:-1]
+            agree = m_stop if resolved.all() else int(np.argmin(resolved))
+            assert np.array_equal(fit.selection_path[:agree], selection[:agree]), seed
+            assert fit.excluded == tuple(td.names[i] for i in np.nonzero(dead_mask)[0])
+            assert fit.excluded == (td.names[dead],)
+            scale = np.max(np.abs(coef))
+            assert np.max(np.abs(fit.coefficients - coef)) <= 1e-10 * scale, seed
+            assert np.max(np.abs(fit.risk_path - risk) / risk) <= 1e-10, seed
+
+
+def test_direct_coefficients_are_bitwise_the_direct_reference_over_seeds():
+    # the preliminary residuals' loop keeps the bits of the direct reference
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        rows, k = [(200, 8), (36, 80), (60, 10)][seed % 3]
+        y, z = _sparse_signal(rng, rows, k)
+        m = int(rng.integers(0, 400))
+        expected = _direct_reference_path(y, z, 0.1, m)[0]
+        assert np.array_equal(_direct_coefficients(y, z, 0.1, m), expected), seed
 
 
 def _reference_cv_risk_path(
@@ -591,9 +677,9 @@ def test_cv_curve_duplicated_column_tie_goes_to_lower_index():
     y = 2.0 * z[:, 1] + 0.3 * rng.normal(size=n * t)
     cfg = BoostConfig(m_stop=60)
     curve = boost_cv_curve(y, z, plan, cfg)
-    expected, fits = boost_replay(y, z, plan, cfg)
-    assert 1 in fits[0].selection_path
-    assert 3 not in fits[0].selection_path
+    expected, paths = boost_replay(y, z, plan, cfg)
+    assert 1 in paths[0]
+    assert 3 not in paths[0]
     assert np.max(np.abs(curve - expected) / expected) <= 1e-10
     # Had fold 0 taken column 3, its held-out risk would differ visibly.
     z_swapped = z.copy()
@@ -618,8 +704,8 @@ def test_cv_curve_excludes_column_zero_in_one_folds_training_rows():
     assert len(messages) == 1
     assert "(fold 1 training data)" in messages[0]
     assert "indices [2]" in messages[0]
-    expected, fits = boost_replay(y, z, plan, cfg, excluded={1: [2]})
-    assert 2 in fits[0].selection_path and 2 in fits[2].selection_path
+    expected, paths = boost_replay(y, z, plan, cfg, excluded={1: [2]})
+    assert 2 in paths[0] and 2 in paths[2]
     assert np.max(np.abs(curve - expected) / expected) <= 1e-10
 
 

@@ -1,6 +1,7 @@
 """Moment systems for the error-process parameters and their solver."""
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -198,6 +199,23 @@ def test_structural_column_of_both_systems(rng):
         assert system.matrix[1, 2] == pytest.approx(expected_trace, abs=1e-14)
         assert system.matrix[2, 2] == 0.0
         assert system.trace_ratio == pytest.approx(expected_trace, abs=1e-14)
+
+
+def test_second_moment_system_allocates_no_dense_block(rng):
+    # tr(W'W) / n is computed once per weights object, not once per system
+    n, t = 1000, 2
+    w, _ = make_weights(n, seed=3, k=5)
+    triple = make_triple(rng.normal(size=n * t), w, t)
+    first = idiosyncratic_moment_system(triple, w, t)
+    tracemalloc.start()
+    try:
+        second = location_effect_moment_system(triple, w, t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
+    assert first.trace_ratio == float((w.matrix * w.matrix).sum()) / n
+    assert second.trace_ratio == first.trace_ratio
 
 
 def test_within_quadratic_form_is_nonnegative(rng):

@@ -107,22 +107,14 @@ def test_spatial_filter_matrix_matches_dense():
     assert np.allclose(filt.matrix, dense_filter(w, 0.35), atol=1e-14)
 
 
-def test_spatial_filter_apply_blockwise(rng):
-    n, t = 4, 3
-    w, _ = make_weights(n, seed=8, k=2)
-    filt = SpatialFilter(-0.6, w)
-    v = rng.normal(size=(n * t, 2))
-    dense = np.kron(np.eye(t), filt.matrix) @ v
-    assert np.allclose(filt.apply(v, n_periods=t), dense, atol=1e-12)
-
-
 def test_spatial_filter_solve_round_trip(rng):
     n, t = 6, 2
     w, _ = make_weights(n, seed=9, k=3)
     filt = SpatialFilter(0.7, w)
+    forward = np.kron(np.eye(t), filt.matrix)
     v = rng.normal(size=n * t)
-    assert np.allclose(filt.solve(filt.apply(v, t), t), v, atol=1e-10)
-    assert np.allclose(filt.apply(filt.solve(v, t), t), v, atol=1e-10)
+    assert np.allclose(filt.solve(forward @ v, t), v, atol=1e-10)
+    assert np.allclose(forward @ filt.solve(v, t), v, atol=1e-10)
 
 
 def test_spatial_filter_rejects_unit_rho():
