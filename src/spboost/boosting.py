@@ -71,11 +71,6 @@ class BoostFit:
     def m_used(self) -> int:
         return len(self.selection_path)
 
-    @property
-    def selected(self) -> np.ndarray:
-        """Boolean mask of columns with a nonzero coefficient."""
-        return self.coefficients != 0.0
-
 
 @dataclass(frozen=True)
 class DeselectionResult:

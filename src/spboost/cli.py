@@ -137,6 +137,8 @@ def _load_inputs(args):
 
     The set-up shared by fit, cv and transform, ``--standardize`` included.
     """
+    if args.seed < 0:
+        raise ValidationError(f"--seed must be non-negative, got {args.seed}")
     data = read_panel_csv(args.panel)
     inputs = {"panel": {"path": args.panel, "sha256": file_sha256(args.panel)}}
     if args.centroids is not None:

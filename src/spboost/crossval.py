@@ -29,6 +29,13 @@ KMEANS_MAX_ITER = 100
 KMEANS_BATCH_ENTRIES = 16_384
 
 
+def _stream(seed: int, *key: int) -> np.random.Generator:
+    """Counter-based generator keyed by (seed, key...)."""
+    return np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=key))
+    )
+
+
 class FoldKind(enum.Enum):
     SPATIAL = "spatial"
     TIME = "time"
@@ -151,7 +158,8 @@ def make_spatial_folds(
 
     Runs up to 50 k-means++ restarts and keeps the labeling with the lowest
     within-cluster sum of squares (the first on ties).  Restart ``a`` draws
-    from its own Philox stream, spawn key ``(a,)`` of ``seed``.  Restarts
+    from its own Philox stream, ``_stream(seed, a)``, so ``seed`` must be
+    non-negative (``ValidationError`` otherwise).  Restarts
     that lose a cluster are replaced by further ones; 50 such failures
     abort with ``DegenerateGeometryError``.  The restarts run in batches
     through ``_kmeans_restarts`` (each bitwise scipy's ``kmeans2`` with
@@ -170,6 +178,8 @@ def make_spatial_folds(
         )
     if n_periods < 1:
         raise ValidationError("n_periods must be positive")
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
 
     best_labels = None
     best_wcss = np.inf
@@ -178,12 +188,8 @@ def make_spatial_folds(
     batch = max(1, KMEANS_BATCH_ENTRIES // n)
     while successes < KMEANS_RESTARTS:
         first = successes + failures
-        rngs = [
-            np.random.Generator(
-                np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(a,)))
-            )
-            for a in range(first, first + min(batch, KMEANS_RESTARTS - successes))
-        ]
+        stop = first + min(batch, KMEANS_RESTARTS - successes)
+        rngs = [_stream(seed, a) for a in range(first, stop)]
         for outcome in _kmeans_restarts(pts, n_folds, rngs):
             if outcome is None:
                 failures += 1

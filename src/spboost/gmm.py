@@ -63,25 +63,28 @@ class MomentSystem:
     """Three moment conditions, linear in (rho, rho^2, sigma^2).
 
     The third column of ``matrix`` is structural: (1, trace_ratio, 0) with
-    ``trace_ratio = tr(W'W) / n``.
+    ``trace_ratio = tr(W'W) / n``, which is read back from it.
     """
 
     matrix: np.ndarray
     vector: np.ndarray
     target: str  # 'idiosyncratic' or 'location_effect'
-    trace_ratio: float
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
         v = np.asarray(self.vector, dtype=float)
         if m.shape != (3, 3) or v.shape != (3,):
             raise ValidationError("moment system must be 3x3 with a 3-vector")
-        if m[0, 2] != 1.0 or m[1, 2] != self.trace_ratio or m[2, 2] != 0.0:
+        if m[0, 2] != 1.0 or m[2, 2] != 0.0:
             raise ValidationError("structural variance column of the moment matrix is wrong")
         if self.target not in ("idiosyncratic", "location_effect"):
             raise ValidationError(f"unknown moment target {self.target!r}")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "vector", v)
+
+    @property
+    def trace_ratio(self) -> float:
+        return float(self.matrix[1, 2])
 
     def residual(self, rho: float, sigma2: float) -> np.ndarray:
         return self.matrix @ np.array([rho, rho * rho, sigma2]) - self.vector
@@ -213,16 +216,15 @@ def _moment_system(
     pv = projector.apply(v)
     pv1 = projector.apply(v1)
     pv2 = projector.apply(v2)
-    trace_ratio = weights.trace_ratio
     matrix = np.array(
         [
             [2 * scale * (v1 @ pv), -scale * (v1 @ pv1), 1.0],
-            [2 * scale * (v2 @ pv1), -scale * (v2 @ pv2), trace_ratio],
+            [2 * scale * (v2 @ pv1), -scale * (v2 @ pv2), weights.trace_ratio],
             [scale * (v2 @ pv + v1 @ pv1), -scale * (v2 @ pv1), 0.0],
         ]
     )
     vector = np.array([scale * (v @ pv), scale * (v1 @ pv1), scale * (v1 @ pv)])
-    return MomentSystem(matrix=matrix, vector=vector, target=target, trace_ratio=trace_ratio)
+    return MomentSystem(matrix=matrix, vector=vector, target=target)
 
 
 def idiosyncratic_moment_system(

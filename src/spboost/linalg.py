@@ -188,18 +188,18 @@ class WhitenerMode(enum.Enum):
 class WhiteningOperator:
     """Linear map that turns the model's error covariance into the identity.
 
-    Random effects: applies one n x n block on the between (time-mean)
-    subspace and another on the within subspace; together they realize the
-    inverse square root of the stacked error covariance.  Squaring the
-    operator therefore reproduces the full covariance inverse.
+    Random effects (a ``between_block``): applies one n x n block on the
+    between (time-mean) subspace and another on the within subspace;
+    together they realize the inverse square root of the stacked error
+    covariance.  Squaring the operator therefore reproduces the full
+    covariance inverse.
 
-    Fixed effects: applies the demeaning projector followed by the
-    idiosyncratic spatial filter; the result is the within-whitened panel
-    (up to the constant idiosyncratic variance, which affects no
-    least-squares or boosting decision).
+    Fixed effects (no ``between_block``): applies the demeaning projector
+    followed by the idiosyncratic spatial filter; the result is the
+    within-whitened panel (up to the constant idiosyncratic variance, which
+    affects no least-squares or boosting decision).  ``mode`` is derived.
     """
 
-    mode: WhitenerMode
     between_block: np.ndarray | None
     within_block: np.ndarray
     n_periods: int
@@ -208,11 +208,16 @@ class WhiteningOperator:
         n = self.within_block.shape[0]
         if self.within_block.shape != (n, n):
             raise ValidationError("within block must be square")
-        if self.mode is WhitenerMode.RANDOM_GLS:
-            if self.between_block is None or self.between_block.shape != (n, n):
-                raise ValidationError("random-effects whitener needs a square between block")
+        if self.between_block is not None and self.between_block.shape != (n, n):
+            raise ValidationError("random-effects whitener needs a square between block")
         if self.n_periods < 2:
             raise ValidationError("whitening needs at least two periods")
+
+    @property
+    def mode(self) -> WhitenerMode:
+        if self.between_block is None:
+            return WhitenerMode.FIXED_WITHIN
+        return WhitenerMode.RANDOM_GLS
 
     @property
     def n_locations(self) -> int:
@@ -227,7 +232,7 @@ class WhiteningOperator:
         mean = cube.mean(axis=0)
         # one BLAS product per period
         out = self.within_block @ (cube - mean)
-        if self.mode is WhitenerMode.RANDOM_GLS:
+        if self.between_block is not None:
             out += self.between_block @ mean
         return out.reshape(v.shape)
 
@@ -241,6 +246,8 @@ def random_effects_whitener(
     ``t * s2_loc * inv(A'A) + s2_idio * inv(B'B)`` with A and B the two
     spatial filters, and ``s2_idio * inv(B'B)`` on the within subspace.
     Both blocks are inverted and square-rooted by eigendecomposition.
+    ``VarianceComponents`` already holds s2_idio > 0 and s2_loc >= 0;
+    fixed-effects components (no rho1) are refused here.
 
     No LU factorization or identity right-hand side is formed, and each
     n x n intermediate is released once used; the input of each eigh is
@@ -251,12 +258,8 @@ def random_effects_whitener(
     """
     if n_periods < 2:
         raise ValidationError("random-effects whitening needs at least two periods")
-    if components.sigma_eps2 is None or components.sigma_eps2 <= 0:
-        raise ValidationError("idiosyncratic variance must be positive")
-    if components.rho1 is None or components.sigma_mu2 is None:
+    if components.rho1 is None:
         raise ValidationError("random-effects whitening needs the location-effect parameters")
-    if components.sigma_mu2 < 0:
-        raise ValidationError("location-effect variance must be non-negative")
     bb = _filter_gram(components.rho2, weights)
     between_cov = components.sigma_eps2 * np.linalg.inv(bb)
     if components.sigma_mu2 > 0:
@@ -270,7 +273,6 @@ def random_effects_whitener(
     holder.append(bb)
     del bb
     return WhiteningOperator(
-        mode=WhitenerMode.RANDOM_GLS,
         between_block=between_block,
         within_block=_consume_sqrt(holder, "within covariance block"),
         n_periods=n_periods,
@@ -290,7 +292,6 @@ def fixed_effects_whitener(
     if n_periods < 2:
         raise ValidationError("fixed-effects whitening needs at least two periods")
     return WhiteningOperator(
-        mode=WhitenerMode.FIXED_WITHIN,
         between_block=None,
         within_block=SpatialFilter(components.rho2, weights).matrix,
         n_periods=n_periods,

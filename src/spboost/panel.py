@@ -150,26 +150,21 @@ class PanelDataset:
 
 @dataclass(frozen=True)
 class AugmentedDesign:
-    """Candidate design: intercept, regressors, and their spatial lags.
-
-    ``roles`` marks each column as 'intercept', 'regressor', or 'spatial_lag'.
-    """
+    """Candidate design: intercept, regressors, and their spatial lags."""
 
     columns: np.ndarray
     names: tuple[str, ...]
-    roles: tuple[str, ...]
 
     def __post_init__(self):
         cols = np.asarray(self.columns, dtype=float)
         if cols.ndim != 2:
             raise ValidationError("design must be a 2-d array")
-        if len(self.names) != cols.shape[1] or len(self.roles) != cols.shape[1]:
-            raise AlignmentError("design names/roles do not match the column count")
+        if len(self.names) != cols.shape[1]:
+            raise AlignmentError("design names do not match the column count")
         cols = cols.copy()
         cols.setflags(write=False)
         object.__setattr__(self, "columns", cols)
         object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "roles", tuple(self.roles))
 
     @property
     def n_columns(self) -> int:
@@ -228,7 +223,6 @@ def augment_design(
 
     blocks = []
     names: list[str] = []
-    roles: list[str] = []
     if spec.include_intercept:
         if INTERCEPT_NAME in data.regressor_names:
             raise ValidationError(
@@ -236,10 +230,8 @@ def augment_design(
             )
         blocks.append(np.ones((data.n_obs, 1)))
         names.append(INTERCEPT_NAME)
-        roles.append("intercept")
     blocks.append(x)
     names.extend(data.regressor_names)
-    roles.extend(["regressor"] * len(data.regressor_names))
     if spec.include_spatial_lags:
         lag_names = [LAG_PREFIX + s for s in data.regressor_names]
         clash = set(lag_names) & set(names)
@@ -247,8 +239,7 @@ def augment_design(
             raise ValidationError(f"spatial lag names collide with regressors: {sorted(clash)}")
         blocks.append(spatial_lag(x, weights, data.n_periods))
         names.extend(lag_names)
-        roles.extend(["spatial_lag"] * len(lag_names))
-    return AugmentedDesign(np.hstack(blocks), tuple(names), tuple(roles))
+    return AugmentedDesign(np.hstack(blocks), tuple(names))
 
 
 def read_panel_csv(path: str) -> PanelDataset:

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .boosting import BoostConfig
-from .crossval import FoldKind
+from .crossval import FoldKind, _stream
 from .errors import AlignmentError, ValidationError
 from .linalg import SpatialFilter
 from .panel import INTERCEPT_NAME, LAG_PREFIX, ModelSpec, PanelDataset, spatial_lag
@@ -42,13 +42,6 @@ DEFAULT_TRUE_COEFFICIENTS: Mapping[str, float] = {
 # uniform supports for the regressor components
 LEVEL_HALF_WIDTH = 7.5
 SHOCK_HALF_WIDTH = 5.0
-
-
-def _stream(seed: int, *key: int) -> np.random.Generator:
-    """Counter-based generator keyed by (seed, key...)."""
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=key))
-    )
 
 
 @dataclass(frozen=True)
@@ -81,8 +74,12 @@ class DgpConfig:
             rho = getattr(self, rho_name)
             if not np.isfinite(rho) or abs(rho) >= 1:
                 raise ValidationError(f"{rho_name} must satisfy |rho| < 1, got {rho}")
-        if self.sigma_mu2 < 0 or self.sigma_eps2 <= 0:
-            raise ValidationError("variances must be non-negative (idiosyncratic positive)")
+        if not (0 <= self.sigma_mu2 < np.inf and 0 < self.sigma_eps2 < np.inf):
+            raise ValidationError(
+                "variances must be finite and non-negative (idiosyncratic positive)"
+            )
+        if self.seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {self.seed}")
         if not (1 <= self.knn_k < self.n_locations):
             raise ValidationError("knn_k must be in [1, n_locations)")
         if self.n_replications < 1:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,18 +31,17 @@ DENSE_LIMIT = 4096
 
 @dataclass(frozen=True)
 class SpatialWeights:
-    """Spatial weight matrix with a normalization flag.
+    """Spatial weight matrix, stored as a read-only copy.
 
     Parameters
     ----------
     matrix : ndarray of shape (n, n)
-        Non-negative weights, zero diagonal.
-    row_normalized : bool
-        True when every row with at least one neighbour sums to one.
+        Finite, non-negative weights, zero diagonal.  Row sums are not
+        checked here: ``estimate_variance_components`` refuses a row sum
+        above one.
     """
 
     matrix: np.ndarray
-    row_normalized: bool = False
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -55,13 +53,6 @@ class SpatialWeights:
             raise ValidationError("weight matrix contains negative entries")
         if np.any(np.diag(m) != 0):
             raise ValidationError("weight matrix diagonal must be zero (no self-neighbours)")
-        if self.row_normalized:
-            sums = m.sum(axis=1)
-            bad = np.nonzero(np.abs(sums - 1.0) > 1e-12)[0]
-            if bad.size:
-                raise ValidationError(
-                    f"row_normalized is set but row {bad[0]} sums to {sums[bad[0]]!r}"
-                )
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -74,11 +65,6 @@ class SpatialWeights:
     def trace_ratio(self) -> float:
         """tr(W'W) / n, computed once: it needs an n x n temporary."""
         return float((self.matrix * self.matrix).sum()) / self.n_locations
-
-    def fingerprint(self) -> str:
-        """Short content hash of the matrix, for telling weight matrices apart."""
-        h = hashlib.sha256(np.ascontiguousarray(self.matrix).tobytes())
-        return h.hexdigest()[:12]
 
 
 def row_normalize(weights: SpatialWeights) -> SpatialWeights:
@@ -94,7 +80,7 @@ def row_normalize(weights: SpatialWeights) -> SpatialWeights:
     zero_rows = np.nonzero(sums == 0)[0]
     if zero_rows.size:
         raise IsolatedUnitError(int(zero_rows[0]))
-    return SpatialWeights(m / sums[:, None], row_normalized=True)
+    return SpatialWeights(m / sums[:, None])
 
 
 def build_knn_weights(centroids: np.ndarray, k: int) -> SpatialWeights:
@@ -152,7 +138,7 @@ def build_knn_weights(centroids: np.ndarray, k: int) -> SpatialWeights:
     del dist
     free = k - np.count_nonzero(nearest, axis=1)
     nearest |= at_kth & (np.cumsum(at_kth, axis=1) <= free[:, None])
-    return SpatialWeights(np.where(nearest, 1.0 / k, 0.0), row_normalized=True)
+    return SpatialWeights(np.where(nearest, 1.0 / k, 0.0))
 
 
 def read_centroid_csv(path: str, location_ids: list[str] | None = None) -> tuple[list[str], np.ndarray]:

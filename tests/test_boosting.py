@@ -70,7 +70,7 @@ def test_first_iteration_picks_max_squared_correlation(rng):
         "ij,ij->j", td.design, td.design
     )
     assert fit.selection_path[0] == int(np.argmax(scores))
-    assert int(fit.selected.sum()) == 1
+    assert np.count_nonzero(fit.coefficients) == 1
 
 
 def test_single_column_geometric_convergence():

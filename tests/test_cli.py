@@ -5,6 +5,8 @@ import dataclasses
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from spboost import __version__
 from spboost.boosting import BoostConfig
 from spboost.cli import build_parser, main
 from spboost.crossval import FoldKind
+from spboost.gmm import OLS_DIMENSION_RATIO
 from spboost.panel import ModelSpec, read_panel_csv, write_panel_csv
 from spboost.pipeline import build_fold_plan, prepare
 from spboost.simulate import DgpConfig, generate_panel
@@ -587,6 +590,38 @@ def test_simulate_refuses_undefined_metrics_before_fitting(tmp_path, capsys, ext
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (("--seed", "-1"), "seed must be non-negative, got -1"),
+        (("--sigma-eps2", "nan"), "variances must be finite"),
+        (("--sigma-mu2", "inf"), "variances must be finite"),
+    ],
+)
+def test_simulate_refuses_invalid_dgp_flags(tmp_path, capsys, extra, message):
+    out = tmp_path / "o"
+    assert main(sim_args(out, *extra)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("spboost: invalid input: ")
+    assert message in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "cv", "transform"])
+@pytest.mark.parametrize("cv", ["spatial", "time"])
+def test_negative_seed_is_refused(panel_files, tmp_path, capsys, command, cv):
+    # refused before any fold plan is built, so transform on least-squares
+    # residuals and time folds agree with a spatially cross-validated fit
+    panel, centroids = panel_files
+    args = fit_args(panel, centroids, tmp_path / "o", "--cv", cv, "--seed", "-1")
+    args[0] = command
+    assert main(args) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["spboost: invalid input: --seed must be non-negative, got -1"]
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------------------
 # parser plumbing
 
@@ -646,3 +681,105 @@ def test_report_envelope_is_pinned(panel_files, tmp_path, command, report, body)
     del flags["command"]
     assert payload["parameters"] == flags
     assert payload["parameters"]["threads"] == 3
+
+
+# ---------------------------------------------------------------------------
+# BLAS thread counts
+#
+# Bytes are reproducible only at a fixed BLAS configuration: another thread
+# count rounds differently.  Every decision must still agree, and every
+# number within COEF_RTOL of the benchmark's output check.
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+COEF_RTOL = 1e-9
+
+
+def run_with_blas_threads(argv, threads):
+    """Run the command line in a fresh interpreter, BLAS pinned to ``threads``."""
+    env = dict(os.environ)
+    env.update({name: str(threads) for name in BLAS_THREAD_VARIABLES})
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spboost.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-m", "spboost.cli", *argv], env=env, check=True, capture_output=True
+    )
+
+
+def assert_close(a, b, what):
+    if a is None or b is None:
+        assert a is b, what
+    else:
+        assert abs(a - b) <= COEF_RTOL * max(1.0, abs(a)), (what, a, b)
+
+
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def compare_fits(one, two):
+    a, b = load_json(one / "report.json"), load_json(two / "report.json")
+    assert a["cross_validation"]["m_opt"] == b["cross_validation"]["m_opt"]
+    assert a["boosting"]["selection_path"] == b["boosting"]["selection_path"]
+    assert a["boosting"]["excluded_columns"] == b["boosting"]["excluded_columns"]
+    assert a["deselection"]["retained"] == b["deselection"]["retained"]
+    assert a["baseline"] == b["baseline"]
+    assert [c["name"] for c in a["coefficients"]] == [c["name"] for c in b["coefficients"]]
+    for ca, cb in zip(a["coefficients"], b["coefficients"]):
+        for method in ("ltb", "des", "fgls"):
+            assert_close(ca[method], cb[method], (ca["name"], method))
+    rows_a = read_rows(one / "coefficients.csv")
+    rows_b = read_rows(two / "coefficients.csv")
+    for ra, rb in zip(rows_a, rows_b):
+        assert (ra["selected_ltb"], ra["selected_des"]) == (rb["selected_ltb"], rb["selected_des"])
+
+
+def compare_simulations(one, two):
+    a, b = load_json(one / "metrics.json"), load_json(two / "metrics.json")
+    assert set(a["methods"]) == set(b["methods"])
+    for method, ma in a["methods"].items():
+        mb = b["methods"][method]
+        assert (ma["available"], ma["tpr"], ma["tnr"]) == (mb["available"], mb["tpr"], mb["tnr"])
+        assert_close(ma["mse"], mb["mse"], method)
+    rows_a = read_rows(one / "replications.csv")
+    rows_b = read_rows(two / "replications.csv")
+    assert len(rows_a) == len(rows_b) > 0
+    for ra, rb in zip(rows_a, rows_b):
+        key = ("replication", "method", "tpr", "tnr")
+        assert [ra[k] for k in key] == [rb[k] for k in key]
+        assert_close(float(ra["squared_error"]), float(rb["squared_error"]), ra)
+
+
+def write_fit_inputs(root, n, t, k):
+    cfg = DgpConfig(
+        n_locations=n, n_periods=t, n_candidates=k, rho1=0.4, rho2=-0.4, seed=3,
+        n_replications=1,
+    )
+    data, _ = generate_panel(cfg, 0)
+    root.mkdir()
+    write_panel_csv(root / "panel.csv", data)
+    write_centroid_csv(root / "centroids.csv", data)
+    return str(root / "panel.csv"), str(root / "centroids.csv")
+
+
+@pytest.mark.parametrize(
+    "case, n, t, k",
+    [
+        ("fit-boosted", 60, 4, 200),
+        ("fit-least-squares", 200, 5, 40),
+        ("simulate", 100, 5, 40),
+    ],
+)
+def test_decisions_agree_across_blas_thread_counts(tmp_path, case, n, t, k):
+    if case == "simulate":
+        argv = ["simulate", "--n", str(n), "--t", str(t), "--k", str(k), "--nsim", "3"]
+    else:
+        # the intercept and the k candidates against the least-squares cut-off
+        boosted = k + 1 >= OLS_DIMENSION_RATIO * n * t
+        assert boosted == (case == "fit-boosted")
+        panel, centroids = write_fit_inputs(tmp_path / "in", n, t, k)
+        argv = ["fit", "--panel", panel, "--centroids", centroids, "--knn", "10", "--baseline"]
+    outs = [tmp_path / f"threads{threads}" for threads in (1, 2)]
+    for threads, out in zip((1, 2), outs):
+        run_with_blas_threads([*argv, "--out-dir", str(out)], threads)
+    (compare_simulations if case == "simulate" else compare_fits)(*outs)

@@ -127,6 +127,13 @@ def test_spatial_folds_validate_inputs():
         make_spatial_folds(pts.ravel(), 2, 2, seed=0)
 
 
+def test_spatial_folds_refuse_a_negative_seed():
+    # numpy's SeedSequence would fail on it with a bare ValueError
+    pts = np.random.default_rng(6).uniform(size=(5, 2))
+    with pytest.raises(ValidationError, match="seed must be non-negative, got -1"):
+        make_spatial_folds(pts, 2, 2, seed=-1)
+
+
 # ---------------------------------------------------------------------------
 # Batched k-means restarts, bitwise scipy's kmeans2
 

@@ -250,7 +250,7 @@ def test_moment_systems_need_two_periods():
 def test_moment_system_validates_structural_column():
     bad = np.zeros((3, 3))
     with pytest.raises(ValidationError):
-        MomentSystem(matrix=bad, vector=np.zeros(3), target="idiosyncratic", trace_ratio=0.5)
+        MomentSystem(matrix=bad, vector=np.zeros(3), target="idiosyncratic")
 
 
 # ---------------------------------------------------------------------------
@@ -331,12 +331,7 @@ def test_clamped_minimum_does_not_stall():
         ),
     ]
     for matrix, vector in observed:
-        system = MomentSystem(
-            matrix=matrix,
-            vector=vector,
-            target="location_effect",
-            trace_ratio=matrix[1, 2],
-        )
+        system = MomentSystem(matrix=matrix, vector=vector, target="location_effect")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             solution = solve_moment_system(system)
@@ -377,9 +372,7 @@ def test_no_dense_scan_point_beats_the_solver(kind):
         vector = matrix @ np.array([rho, rho * rho, sigma2])
         if kind == "random":
             vector = rng.normal(size=3) * scale
-        system = MomentSystem(
-            matrix=matrix, vector=vector, target="idiosyncratic", trace_ratio=trace_ratio
-        )
+        system = MomentSystem(matrix=matrix, vector=vector, target="idiosyncratic")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             solution = solve_moment_system(system)

@@ -205,7 +205,7 @@ def test_spatial_lag_of_constant_is_constant():
 
 def test_spatial_lag_permutes_indicator():
     # Two locations that only point at each other swap indicator columns.
-    w = SpatialWeights(np.array([[0.0, 1.0], [1.0, 0.0]]), row_normalized=True)
+    w = SpatialWeights(np.array([[0.0, 1.0], [1.0, 0.0]]))
     ind = np.array([[1.0], [0.0]])
     assert np.allclose(spatial_lag(ind, w, 1), [[0.0], [1.0]])
 
@@ -233,15 +233,6 @@ def test_augment_design_column_order_and_roles():
         LAG_PREFIX + "x2",
         LAG_PREFIX + "x3",
     )
-    assert design.roles == (
-        "intercept",
-        "regressor",
-        "regressor",
-        "regressor",
-        "spatial_lag",
-        "spatial_lag",
-        "spatial_lag",
-    )
     assert design.n_columns == 2 * 3 + 1
     assert np.all(design.columns[:, 0] == 1.0)
     assert np.allclose(design.columns[:, 1:4], data.regressors)
@@ -262,7 +253,6 @@ def test_augment_design_without_intercept_or_lags():
         data, w, ModelSpec(include_intercept=False, include_spatial_lags=False)
     )
     assert plain.names == ("x1", "x2")
-    assert plain.roles == ("regressor", "regressor")
     assert np.allclose(plain.columns, data.regressors)
 
 
@@ -281,7 +271,7 @@ def test_augment_design_rejects_intercept_name_clash():
         location_ids=("A", "B"),
         period_ids=("1", "2"),
     )
-    w = SpatialWeights(np.array([[0.0, 1.0], [1.0, 0.0]]), row_normalized=True)
+    w = SpatialWeights(np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(ValidationError):
         augment_design(data, w, ModelSpec())
 
@@ -294,7 +284,7 @@ def test_augment_design_rejects_lag_name_clash():
         location_ids=("A", "B"),
         period_ids=("1", "2"),
     )
-    w = SpatialWeights(np.array([[0.0, 1.0], [1.0, 0.0]]), row_normalized=True)
+    w = SpatialWeights(np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(ValidationError):
         augment_design(data, w, ModelSpec())
 
@@ -328,7 +318,7 @@ def test_fixed_effects_needs_two_periods():
 
 def test_augmented_design_rejects_misaligned_names():
     with pytest.raises(AlignmentError):
-        AugmentedDesign(np.zeros((4, 2)), names=("a",), roles=("regressor", "regressor"))
+        AugmentedDesign(np.zeros((4, 2)), names=("a",))
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,21 @@ def test_config_validation():
         DgpConfig(n_replications=0)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("seed", -1, "seed must be non-negative"),
+        ("sigma_eps2", float("nan"), "variances must be finite"),
+        ("sigma_eps2", float("inf"), "variances must be finite"),
+        ("sigma_mu2", float("inf"), "variances must be finite"),
+        ("sigma_mu2", float("nan"), "variances must be finite"),
+    ],
+)
+def test_config_refuses_negative_seed_and_non_finite_variances(field, value, message):
+    with pytest.raises(ValidationError, match=message):
+        DgpConfig(**{field: value})
+
+
 # ---------------------------------------------------------------------------
 # Panel generation
 

@@ -5,7 +5,12 @@ import pytest
 
 from spboost.errors import FixedEffectsInfeasibleError, ValidationError
 from spboost.gmm import VarianceComponents
-from spboost.linalg import fixed_effects_whitener, random_effects_whitener
+from spboost.linalg import (
+    WhitenerMode,
+    WhiteningOperator,
+    fixed_effects_whitener,
+    random_effects_whitener,
+)
 from spboost.panel import Effects, ModelSpec, augment_design
 from spboost.transform import (
     TransformedData,
@@ -13,6 +18,7 @@ from spboost.transform import (
     transform_fixed,
     transform_random,
 )
+from spboost.weights import SpatialWeights
 
 from conftest import (
     dense_fixed_transform,
@@ -142,7 +148,7 @@ def test_fixed_transform_names_annihilated_column():
     cols = design.columns.copy()
     frozen = np.tile(np.arange(1.0, 4.0), 3)
     cols[:, 1] = frozen
-    sneaky = type(design)(cols, design.names, design.roles)
+    sneaky = type(design)(cols, design.names)
     with pytest.raises(FixedEffectsInfeasibleError) as err:
         transform_fixed(data, sneaky, op)
     assert err.value.column == design.names[1]
@@ -178,6 +184,25 @@ def test_operator_fingerprint_is_stable_and_sensitive():
     _, _, _, op_other = build_random(4, 3, 1, 0.3, -0.2, 2.0, 1.5)
     assert operator_fingerprint(op) == operator_fingerprint(op_same)
     assert operator_fingerprint(op) != operator_fingerprint(op_other)
+
+
+def test_operator_mode_follows_the_between_block():
+    # fixed effects exactly when there is no between block; the fingerprints
+    # hash the mode's name and are pinned to their bytes
+    e = np.eye(4)
+    ring = SpatialWeights(0.5 * np.roll(e, 1, axis=1) + 0.5 * np.roll(e, -1, axis=1))
+    fixed = fixed_effects_whitener(VarianceComponents(rho2=0.3, sigma_eps2=1.0), ring, 3)
+    assert fixed.mode is WhitenerMode.FIXED_WITHIN
+    assert operator_fingerprint(fixed) == "b46bd393a249"
+    gls = WhiteningOperator(between_block=e, within_block=fixed.within_block, n_periods=3)
+    assert gls.mode is WhitenerMode.RANDOM_GLS
+    assert operator_fingerprint(gls) == "6075b14b52eb"
+    with pytest.raises(ValidationError, match="square between block"):
+        WhiteningOperator(between_block=np.eye(3), within_block=e, n_periods=3)
+    with pytest.raises(TypeError):  # the mode is no longer an input
+        WhiteningOperator(
+            mode=WhitenerMode.FIXED_WITHIN, between_block=e, within_block=e, n_periods=3
+        )
 
 
 def test_transformed_data_validation():
