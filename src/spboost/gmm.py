@@ -122,6 +122,9 @@ class VarianceComponents:
 
     def __post_init__(self):
         object.__setattr__(self, "family", Family(self.family))
+        for name in ("rho2", "sigma_eps2", "rho1", "sigma_mu2"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, float(getattr(self, name)))
         if not np.isfinite(self.rho2) or abs(self.rho2) >= 1:
             raise ValidationError(f"rho2 must satisfy |rho| < 1, got {self.rho2}")
         if not (np.isfinite(self.sigma_eps2) and self.sigma_eps2 > 0):
@@ -471,7 +474,7 @@ def estimate_variance_components(
     weights: SpatialWeights,
     spec: ModelSpec,
     config: BoostConfig | None = None,
-    cv_plan: FoldPlan | None = None,
+    cv_plan: FoldPlan | Callable[[], FoldPlan] | None = None,
 ) -> VarianceComponents:
     """Estimate the error-process parameters for a model specification.
 
@@ -479,6 +482,9 @@ def estimate_variance_components(
     and (under random effects) the location-effect system with the family's
     restriction applied: ANS pins the location-effect autocorrelation at
     zero, KKP copies the idiosyncratic estimate, GSPECM leaves it free.
+    ``config`` and ``cv_plan`` go to ``initial_residuals``: the fold plan,
+    or a zero-argument callable that builds it, is used only when the
+    preliminary residuals are boosted.
     Weights with a row summing to more than one are refused with
     ``ValidationError``: the solver's range |rho| <= 0.999 is admissible
     only for a spectral radius of W at most 1, which the largest row sum

@@ -9,6 +9,8 @@ JSON report, which callers comparing runs should ignore.
 from __future__ import annotations
 
 import csv
+import dataclasses
+import enum
 import hashlib
 import json
 import os
@@ -35,16 +37,17 @@ def tool_stamp() -> dict:
     return {"name": "spboost", "version": __version__}
 
 
-def components_payload(vc: VarianceComponents) -> dict:
+def _fields(record, omit: tuple[str, ...] = ()) -> dict:
+    """A record's fields by name, enums as their values, ``omit`` left out."""
     return {
-        "family": vc.family.value,
-        "rho1": None if vc.rho1 is None else float(vc.rho1),
-        "rho2": float(vc.rho2),
-        "sigma_mu2": None if vc.sigma_mu2 is None else float(vc.sigma_mu2),
-        "sigma_eps2": float(vc.sigma_eps2),
-        "rho1_at_boundary": vc.rho1_at_boundary,
-        "rho2_at_boundary": vc.rho2_at_boundary,
+        name: value.value if isinstance(value, enum.Enum) else value
+        for name, value in dataclasses.asdict(record).items()
+        if name not in omit
     }
+
+
+def components_payload(vc: VarianceComponents) -> dict:
+    return _fields(vc)
 
 
 def cross_validation_payload(plan: FoldPlan, m_opt: int, curve: np.ndarray) -> dict:
@@ -56,16 +59,18 @@ def cross_validation_payload(plan: FoldPlan, m_opt: int, curve: np.ndarray) -> d
     }
 
 
+def _coefficient_table(result: FitResult) -> dict[str, np.ndarray]:
+    """Coefficient vector of each method the fit ran, in the order ltb, des, fgls."""
+    ran = {"ltb": True, "des": result.deselection is not None, "fgls": result.baseline is not None}
+    return {m: result.coefficients(m) for m, did in ran.items() if did}
+
+
 def fit_payload(result: FitResult) -> dict:
     """JSON-ready dict for a FitResult (no timing, no inputs)."""
     des = result.deselection
+    table = _coefficient_table(result)
     payload = {
-        "model": {
-            "family": result.spec.family.value,
-            "effects": result.spec.effects.value,
-            "include_intercept": result.spec.include_intercept,
-            "include_spatial_lags": result.spec.include_spatial_lags,
-        },
+        "model": _fields(result.spec),
         "variance_components": components_payload(result.components),
         "transform_fingerprint": result.transformed.fingerprint,
         "cross_validation": cross_validation_payload(
@@ -84,6 +89,10 @@ def fit_payload(result: FitResult) -> dict:
             "available": result.baseline is not None,
             "reason": result.baseline_unavailable_reason,
         },
+        "coefficients": [
+            {"name": name, **{m: float(c[i]) for m, c in table.items()}}
+            for i, name in enumerate(result.names)
+        ],
     }
     if des is not None:
         payload["deselection"] = {
@@ -94,48 +103,18 @@ def fit_payload(result: FitResult) -> dict:
                 name: float(val) for name, val in zip(des.names, des.attributable)
             },
         }
-    coeffs = []
-    des_coefs = None if des is None else result.coefficients("des")
-    for i, name in enumerate(result.names):
-        row = {"name": name, "ltb": float(result.fit.coefficients[i])}
-        if des_coefs is not None:
-            row["des"] = float(des_coefs[i])
-        if result.baseline is not None:
-            row["fgls"] = float(result.baseline[i])
-        coeffs.append(row)
-    payload["coefficients"] = coeffs
     return payload
 
 
 def metrics_payload(metrics: SimulationMetrics) -> dict:
-    cfg = metrics.config
     return {
-        "dgp": {
-            "n_locations": cfg.n_locations,
-            "n_periods": cfg.n_periods,
-            "n_candidates": cfg.n_candidates,
-            "rho1": cfg.rho1,
-            "rho2": cfg.rho2,
-            "sigma_mu2": cfg.sigma_mu2,
-            "sigma_eps2": cfg.sigma_eps2,
-            "knn_k": cfg.knn_k,
-            "seed": cfg.seed,
-            "n_replications": cfg.n_replications,
-            "true_coefficients": dict(cfg.true_coefficients),
-        },
+        "dgp": _fields(metrics.config),
         "model": {
             "family": metrics.spec.family.value,
             "effects": metrics.spec.effects.value,
         },
         "methods": {
-            name: {
-                "available": mm.available,
-                "tpr": mm.tpr,
-                "tnr": mm.tnr,
-                "mse": mm.mse,
-                "unavailable_reason": mm.unavailable_reason,
-            }
-            for name, mm in metrics.per_method.items()
+            name: _fields(mm, omit=("method",)) for name, mm in metrics.per_method.items()
         },
     }
 
@@ -155,12 +134,8 @@ def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> Non
 
 
 def _cell(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, (np.floating,)):
+    if isinstance(v, (float, np.floating)):
         return repr(float(v))
-    if isinstance(v, (np.integer,)):
-        return str(int(v))
     if v is None:
         return ""
     return str(v)
@@ -168,21 +143,14 @@ def _cell(v) -> str:
 
 def write_fit_reports(out_dir: str, result: FitResult) -> None:
     """coefficients.csv, cv_curve.csv, and risk_path.csv for a fit."""
-    des_coefs = None if result.deselection is None else result.coefficients("des")
-    header = ["name", "ltb", "selected_ltb"]
-    if des_coefs is not None:
-        header += ["des", "selected_des"]
-    if result.baseline is not None:
-        header += ["fgls"]
-    rows = []
-    for i, name in enumerate(result.names):
-        row = [name, float(result.fit.coefficients[i]), int(result.fit.coefficients[i] != 0)]
-        if des_coefs is not None:
-            row += [float(des_coefs[i]), int(des_coefs[i] != 0)]
-        if result.baseline is not None:
-            row += [float(result.baseline[i])]
-        rows.append(row)
-    write_csv(os.path.join(out_dir, "coefficients.csv"), header, rows)
+    columns = {"name": result.names}
+    for m, c in _coefficient_table(result).items():
+        columns[m] = c.tolist()
+        if m != "fgls":
+            columns[f"selected_{m}"] = (c != 0).astype(int).tolist()
+    write_csv(
+        os.path.join(out_dir, "coefficients.csv"), list(columns), list(zip(*columns.values()))
+    )
     write_cv_curve(out_dir, result.cv_curve)
     write_csv(
         os.path.join(out_dir, "risk_path.csv"),
@@ -201,28 +169,17 @@ def write_cv_curve(out_dir: str, curve: np.ndarray) -> None:
 
 def write_metrics_reports(out_dir: str, metrics: SimulationMetrics) -> None:
     """metrics.csv and replications.csv for a simulation."""
-    rows = []
-    for name in metrics.methods:
-        mm = metrics.per_method[name]
-        rows.append(
-            [
-                name,
-                int(mm.available),
-                mm.tpr if mm.available else None,
-                mm.tnr if mm.available else None,
-                mm.mse if mm.available else None,
-            ]
-        )
     write_csv(
         os.path.join(out_dir, "metrics.csv"),
         ["method", "available", "tpr", "tnr", "mse"],
-        rows,
+        [
+            [name, int(mm.available), mm.tpr, mm.tnr, mm.mse]
+            for name, mm in metrics.per_method.items()
+        ],
     )
+    header = ["replication", "method", "tpr", "tnr", "squared_error"]
     write_csv(
         os.path.join(out_dir, "replications.csv"),
-        ["replication", "method", "tpr", "tnr", "squared_error"],
-        [
-            [d["replication"], d["method"], d["tpr"], d["tnr"], d["squared_error"]]
-            for d in metrics.per_replication
-        ],
+        header,
+        [[d[key] for key in header] for d in metrics.per_replication],
     )

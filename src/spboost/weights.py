@@ -153,7 +153,7 @@ def read_centroid_csv(path: str, location_ids: list[str] | None = None) -> tuple
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or [c.strip() for c in header[:3]] != ["location", "cx", "cy"]:
+        if header is None or [c.strip() for c in header] != ["location", "cx", "cy"]:
             raise ParseError("expected header 'location,cx,cy'", row=1)
         for rownum, rec in enumerate(reader, start=2):
             if len(rec) != 3:
@@ -193,7 +193,7 @@ def read_neighbor_csv(path: str, location_ids: list[str]) -> SpatialWeights:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or [c.strip() for c in header[:3]] != ["from", "to", "weight"]:
+        if header is None or [c.strip() for c in header] != ["from", "to", "weight"]:
             raise ParseError("expected header 'from,to,weight'", row=1)
         for rownum, rec in enumerate(reader, start=2):
             if len(rec) != 3:

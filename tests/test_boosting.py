@@ -1,5 +1,7 @@
 """Componentwise boosting, deselection, and the least-squares baseline."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -240,6 +242,48 @@ def test_attribution_partitions_total_reduction():
     total = fit.risk_path[0] - fit.risk_path[-1]
     assert abs(result.attributable.sum() - total) <= 1e-10
     assert result.total_reduction == pytest.approx(total)
+
+
+def exact_attribution(td, fit):
+    """Each column's risk reduction along the fit's own path, in exact arithmetic.
+
+    The path and the float increments are replayed on ``Fraction`` copies of
+    the data, so the only error left is that of the kernel's float risks.
+    """
+    columns = [[Fraction(v) for v in col] for col in td.design.T.tolist()]
+    resid = [Fraction(v) for v in td.response.tolist()]
+    n = len(resid)
+    risk = sum(v * v for v in resid) / n
+    out = [Fraction(0)] * td.n_columns
+    for j, step in zip(fit.selection_path.tolist(), fit.increments.tolist()):
+        step = Fraction(step)
+        resid = [r - step * c for r, c in zip(resid, columns[j])]
+        after = sum(v * v for v in resid) / n
+        out[j] += risk - after
+        risk = after
+    return out
+
+
+@pytest.mark.parametrize("offset", [1.0, 1e2, 1e4])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_attribution_matches_exact_replay(seed, offset):
+    # The offset column dominates the total reduction, so the minor column's
+    # share (down to about 5e-11) comes from differences of nearly equal risks.
+    rng = np.random.default_rng(seed)
+    n = 40
+    z = np.column_stack([1.0 + 0.1 * rng.normal(size=n), rng.normal(size=(n, 2))])
+    td = make_td(offset * z[:, 0] + 0.5 * z[:, 1] + 0.1 * z[:, 2], z)
+    cfg = BoostConfig(m_stop=300)
+    fit = boost(td, cfg)
+    result = deselect(td, cfg, fit, threshold=0.01)
+    exact = exact_attribution(td, fit)
+    total = sum(exact)
+    assert abs(Fraction(result.total_reduction) - total) <= 1e-12 * total
+    for got, want in zip(result.attributable.tolist(), exact):
+        assert abs(Fraction(got) - want) <= 1e-10 * abs(want)
+    assert result.retained == tuple(
+        name for name, want in zip(td.names, exact) if want >= Fraction(0.01) * total
+    )
 
 
 def test_single_contributor_is_retained():

@@ -19,6 +19,7 @@ from spboost.crossval import FoldKind
 from spboost.gmm import OLS_DIMENSION_RATIO
 from spboost.panel import ModelSpec, read_panel_csv, write_panel_csv
 from spboost.pipeline import build_fold_plan, prepare
+from spboost.report import write_csv
 from spboost.simulate import DgpConfig, generate_panel
 from spboost.weights import build_knn_weights, read_centroid_csv
 
@@ -683,6 +684,65 @@ def test_report_envelope_is_pinned(panel_files, tmp_path, command, report, body)
     assert payload["parameters"]["threads"] == 3
 
 
+# the blocks that serialize a record field by field: renaming or adding a
+# field must not change the report schema unnoticed
+COMPONENT_KEYS = {
+    "family", "rho1", "rho2", "sigma_mu2", "sigma_eps2", "rho1_at_boundary", "rho2_at_boundary",
+}
+FIT_MODEL_KEYS = {"family", "effects", "include_intercept", "include_spatial_lags"}
+DGP_KEYS = {
+    "n_locations", "n_periods", "n_candidates", "rho1", "rho2", "sigma_mu2", "sigma_eps2",
+    "knn_k", "seed", "n_replications", "true_coefficients",
+}
+METHOD_KEYS = {"available", "tpr", "tnr", "mse", "unavailable_reason"}
+
+
+@pytest.mark.parametrize(
+    "extra, methods, header",
+    [
+        ((), ("ltb", "des"), "name,ltb,selected_ltb,des,selected_des"),
+        (("--baseline",), ("ltb", "des", "fgls"), "name,ltb,selected_ltb,des,selected_des,fgls"),
+        (("--no-deselect", "--baseline"), ("ltb", "fgls"), "name,ltb,selected_ltb,fgls"),
+        (("--no-deselect",), ("ltb",), "name,ltb,selected_ltb"),
+    ],
+)
+def test_fit_report_blocks_are_pinned(panel_files, tmp_path, extra, methods, header):
+    panel, centroids = panel_files
+    assert main(fit_args(panel, centroids, tmp_path, *extra)) == 0
+    payload = load_json(tmp_path / "report.json")
+    assert set(payload["variance_components"]) == COMPONENT_KEYS
+    assert set(payload["model"]) == FIT_MODEL_KEYS
+    assert payload["coefficients"]
+    for row in payload["coefficients"]:
+        assert set(row) == {"name", *methods}
+    with open(tmp_path / "coefficients.csv") as fh:
+        assert fh.readline().rstrip("\r\n") == header
+
+
+def test_transform_and_simulate_report_blocks_are_pinned(panel_files, tmp_path):
+    panel, centroids = panel_files
+    argv = ["transform", *fit_args(panel, centroids, tmp_path / "transform")[1:]]
+    assert main(argv) == 0
+    payload = load_json(tmp_path / "transform" / "transform.json")
+    assert set(payload["variance_components"]) == COMPONENT_KEYS
+    for methods in ("fgls,ltb,des", "ltb,fgls"):
+        out = tmp_path / methods.replace(",", "-")
+        assert main(sim_args(out, "--methods", methods)) == 0
+        payload = load_json(out / "metrics.json")
+        assert set(payload["dgp"]) == DGP_KEYS
+        assert set(payload["model"]) == {"family", "effects"}
+        assert set(payload["methods"]) == set(methods.split(","))
+        for entry in payload["methods"].values():
+            assert set(entry) == METHOD_KEYS
+
+
+def test_csv_cells_write_numpy_scalars_as_python_numbers(tmp_path):
+    path = tmp_path / "cells.csv"
+    row = [np.float64(0.1), np.float32(0.5), np.int64(3), None, "x"]
+    write_csv(path, ["a", "b", "c", "d", "e"], [row])
+    assert path.read_text().splitlines() == ["a,b,c,d,e", "0.1,0.5,3,,x"]
+
+
 # ---------------------------------------------------------------------------
 # BLAS thread counts
 #
@@ -726,7 +786,9 @@ def compare_fits(one, two):
     assert a["baseline"] == b["baseline"]
     assert [c["name"] for c in a["coefficients"]] == [c["name"] for c in b["coefficients"]]
     for ca, cb in zip(a["coefficients"], b["coefficients"]):
-        for method in ("ltb", "des", "fgls"):
+        # fgls is absent where the design is wider than the panel is long
+        assert ca.keys() == cb.keys()
+        for method in ca.keys() - {"name"}:
             assert_close(ca[method], cb[method], (ca["name"], method))
     rows_a = read_rows(one / "coefficients.csv")
     rows_b = read_rows(two / "coefficients.csv")
@@ -765,7 +827,7 @@ def write_fit_inputs(root, n, t, k):
 @pytest.mark.parametrize(
     "case, n, t, k",
     [
-        ("fit-boosted", 60, 4, 200),
+        ("fit-boosted", 100, 5, 800),
         ("fit-least-squares", 200, 5, 40),
         ("simulate", 100, 5, 40),
     ],

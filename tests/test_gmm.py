@@ -496,6 +496,15 @@ def test_variance_components_validation():
         )
 
 
+def test_variance_components_store_python_floats():
+    # integers and numpy scalars alike, so reports write 0.0 and not 0
+    vc = VarianceComponents(rho2=0, sigma_eps2=np.float32(2), rho1=0, sigma_mu2=1, family="ans")
+    assert [type(v) for v in (vc.rho2, vc.sigma_eps2, vc.rho1, vc.sigma_mu2)] == [float] * 4
+    assert (vc.rho2, vc.sigma_eps2, vc.sigma_mu2) == (0.0, 2.0, 1.0)
+    fixed = VarianceComponents(rho2=np.float64(0.5), sigma_eps2=3)
+    assert type(fixed.rho2) is float and fixed.rho1 is None and fixed.sigma_mu2 is None
+
+
 # ---------------------------------------------------------------------------
 # Recovery on the simulated process (slower, 20 replications each)
 

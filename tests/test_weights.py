@@ -147,6 +147,32 @@ def test_read_centroid_csv_bad_number_reports_row(tmp_path):
     assert err.value.row == 3
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["location,cx,cy,name\nA,0.0,0.0\n", "location,cx,cy,name\nA,0.0,0.0,a\n"],
+    ids=["extra-header-name", "four-columns"],
+)
+def test_read_centroid_csv_refuses_a_header_with_extra_names(tmp_path, text):
+    path = tmp_path / "centroids.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError, match="expected header 'location,cx,cy'") as err:
+        read_centroid_csv(path)
+    assert err.value.row == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["from,to,weight,kind\nA,B,1.0\n", "from,to,weight,kind\nA,B,1.0,x\n"],
+    ids=["extra-header-name", "four-columns"],
+)
+def test_read_neighbor_csv_refuses_a_header_with_extra_names(tmp_path, text):
+    path = tmp_path / "edges.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError, match="expected header 'from,to,weight'") as err:
+        read_neighbor_csv(path, ("A", "B"))
+    assert err.value.row == 1
+
+
 def test_read_neighbor_csv(tmp_path):
     path = tmp_path / "edges.csv"
     path.write_text("from,to,weight\nA,B,1.0\nB,A,0.5\nB,C,0.5\nC,B,1.0\n")
