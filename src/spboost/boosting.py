@@ -7,13 +7,16 @@ squares; ties go to the lower column index), and moves the fit a fraction
 ``learning_rate`` of the way toward that univariate solution.  The
 empirical risk ||y - eta||^2 / n is recorded after every iteration.
 
-One kernel, ``_gram_path``, runs the final fit (``boost``), the
-deselection refit and each fold of every cross-validation curve.  It
-updates the correlations through cached Gram columns, in O(k) per
-iteration, and tracks the residual of a held-out response, which for
-``boost`` is the training response itself.  Only the coefficients of the
-boosted preliminary residuals come from a direct loop that recomputes
-``Z'r``, ``_direct_coefficients``, kept for the bits it pins.
+One kernel, ``_gram_path``, runs the final fit (``boost``) and the
+deselection refit.  It updates the correlations through cached Gram
+columns, in O(k) per iteration, and tracks the residual of a held-out
+response, which for ``boost`` is the training response itself.  The folds
+of a cross-validation curve run the same arithmetic: through this kernel
+one at a time when a fold is large, and otherwise stacked with other folds
+in ``crossval``'s lockstep, which keeps every operation and so every bit.
+Only the coefficients of the boosted preliminary residuals come from a
+direct loop that recomputes ``Z'r``, ``_direct_coefficients``, kept for the
+bits it pins.
 
 Deselection afterwards attributes the total risk reduction to columns: a
 column keeps its place only when its attributable share reaches the

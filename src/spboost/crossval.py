@@ -7,9 +7,12 @@ seeding (Arthur & Vassilvitskii 2007) and Lloyd steps, run for a batch of
 seeded restarts at once as arrays, and equal bit for bit to scipy's
 ``kmeans2(iter=100, minit="++")`` restart by restart.  Leave-time-out folds
 hold out one whole period at a time.  The risk curve evaluates held-out
-risk after every boosting iteration and averages it across folds, one fold
-after another (the fold-wise ``cvrisk`` of Hofner et al. 2014); its
-minimizer is the stopping iteration.
+risk after every boosting iteration and averages it across folds (the
+fold-wise ``cvrisk`` of Hofner et al. 2014); its minimizer is the stopping
+iteration.  Small folds, of one fit or of all the replications of a
+simulation, are boosted side by side in lockstep batches of at most
+``CV_BATCH_ENTRIES`` stacked values; a fold too large to share a batch runs
+alone through the boosting kernel.  Both give each fold the kernel's bits.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boosting import BoostConfig, _gram_path
+from .boosting import BoostConfig, _gram_path, _screen_columns
 from .errors import DegenerateGeometryError, ValidationError
 
 KMEANS_RESTARTS = 50
@@ -27,6 +30,12 @@ KMEANS_MAX_ITER = 100
 # restarts per batch are capped so that each (restarts, locations) work array
 # holds at most this many values (128 KiB); larger arrays ran slower
 KMEANS_BATCH_ENTRIES = 16_384
+# folds boosted in lockstep are batched so that their stacked Gram and
+# held-out caches and residual histories hold at most this many values
+# (1 MiB); a fold that would batch alone runs through the per-fold kernel
+CV_BATCH_ENTRIES = 131_072
+# held-out residuals kept between two evaluations of their risks
+CV_HISTORY_STEPS = 16
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
@@ -231,6 +240,150 @@ def make_time_folds(n_locations: int, n_periods: int) -> FoldPlan:
     )
 
 
+def _fold_entries(n_columns: int, n_out: int) -> int:
+    """Values a fold holds in a lockstep batch: Gram and held-out caches, history."""
+    return n_columns * (n_columns + n_out) + (CV_HISTORY_STEPS + 1) * n_out
+
+
+def _lockstep_risks(folds: list, learning_rate: float, n_iterations: int) -> np.ndarray:
+    """Held-out risk paths of several folds boosted side by side.
+
+    ``folds`` holds ``(response, design, train, test, warn_label)`` tuples;
+    row b of the returned ``(folds, n_iterations + 1)`` array equals
+    ``_gram_path``'s ``heldout_risk`` on fold b bit for bit, because every
+    operation is the kernel's own:
+
+    * the screen, ``Z'y`` and each Gram column ``Z'z_j`` are the same calls
+      on the same training rows, all columns up front, so no training
+      design outlives the set-up;
+    * the scores, steps and updates are elementwise on arrays stacked along
+      a leading fold axis (columns padded with a -inf penalty, held-out rows
+      with zeros), with one ``argmax`` per row;
+    * the held-out residuals of the last ``CV_HISTORY_STEPS`` iterations
+      are kept, and their risks are taken every so many steps as
+      ``np.matmul(seg[:, None, :], seg[:, :, None])`` over each fold's own
+      length, which reduces through the same dot as ``d @ d``.
+    """
+    n_folds = len(folds)
+    width = max(z.shape[1] for _, z, *_ in folds)
+    n_outs = [int(test.sum()) for *_, test, _ in folds]
+    corr = np.zeros((n_folds, width))
+    inv_norms2 = np.zeros((n_folds, width))
+    penalty = np.full((n_folds, width), -np.inf)
+    # row ``b * width + j``: fold b's Gram column j, and its held-out values
+    gram = np.zeros((n_folds * width, width))
+    heldout = np.zeros((n_folds * width, max(n_outs)))
+    history = np.zeros((CV_HISTORY_STEPS + 1, n_folds, max(n_outs)))
+    for b, (y, z, train, test, warn_label) in enumerate(folds):
+        zt = z[train]
+        k = zt.shape[1]
+        inv_norms2[b, :k], selectable, _ = _screen_columns(zt, None, warn_label)
+        penalty[b, :k][selectable] = 0.0
+        corr[b, :k] = zt.T @ y[train]
+        for j in range(k):
+            gram[b * width + j, :k] = zt.T @ zt[:, j]
+        heldout[b * width : b * width + k, : n_outs[b]] = z[test].T
+        history[0, b, : n_outs[b]] = y[test]
+
+    offsets = np.arange(n_folds) * width
+    scores = np.empty((n_folds, width))
+    risk = np.empty((n_folds, n_iterations + 1))
+    # history[s] holds the residuals after ``done + s`` iterations; the risks
+    # of rows ``first`` to ``s`` are still to be taken
+    done = first = s = 0
+
+    def flush():
+        for b, n in enumerate(n_outs):
+            seg = history[first : s + 1, b, :n]
+            dots = np.matmul(seg[:, None, :], seg[:, :, None])
+            risk[b, done + first : done + s + 1] = dots.ravel() / n
+
+    for _ in range(n_iterations):
+        np.multiply(corr, corr, out=scores)
+        np.multiply(scores, inv_norms2, out=scores)
+        np.add(scores, penalty, out=scores)
+        index = scores.argmax(axis=1)
+        index += offsets
+        step = corr.take(index)
+        step *= learning_rate
+        step *= inv_norms2.take(index)
+        step = step[:, None]
+        gram_rows = gram[index]
+        gram_rows *= step
+        corr -= gram_rows
+        heldout_rows = heldout[index]
+        heldout_rows *= step
+        np.subtract(history[s], heldout_rows, out=history[s + 1])
+        s += 1
+        if s == CV_HISTORY_STEPS:
+            flush()
+            history[0] = history[s]
+            done, first, s = done + s, 1, 0
+    flush()
+    return risk
+
+
+def _cv_curves(problems: list, config: BoostConfig) -> list:
+    """The ``boost_cv_curve`` of each ``(response, design, plan)`` problem.
+
+    The folds of all problems are taken in order and run in lockstep
+    batches whose stacked state (``_fold_entries`` per fold, at the batch's
+    widest design and longest held-out set) stays within
+    ``CV_BATCH_ENTRIES`` values.  A fold that would batch alone runs
+    through ``_gram_path`` by itself.  Either way each fold's risk path has
+    the per-fold kernel's bits, and each curve is the same ``np.mean`` over
+    its folds.
+    """
+    folds = []
+    for p, (y, z, plan) in enumerate(problems):
+        y = np.asarray(y, dtype=float)
+        z = np.asarray(z, dtype=float)
+        if y.shape[0] != plan.assignment.shape[0] or z.shape[0] != y.shape[0]:
+            raise ValidationError("data and fold plan have different numbers of rows")
+        for f in range(plan.n_folds):
+            train = plan.assignment != f
+            folds.append((p, (y, z, train, ~train, f"fold {f} training data")))
+
+    curves = [None] * len(problems)
+    paths: list = [[] for _ in problems]  # fold risk paths until a curve is complete
+
+    def run(batch):
+        if len(batch) > 1:
+            risks = _lockstep_risks([fold for _, fold in batch], config.learning_rate, config.m_stop)
+        else:
+            y, z, train, test, warn_label = batch[0][1]
+            risks = [
+                _gram_path(
+                    y[train],
+                    z[train],
+                    y[test],
+                    np.ascontiguousarray(z[test].T),
+                    config.learning_rate,
+                    config.m_stop,
+                    warn_label=warn_label,
+                )[2]
+            ]
+        for (p, _), risk in zip(batch, risks):
+            paths[p].append(risk)
+            if len(paths[p]) == problems[p][2].n_folds:
+                curves[p] = np.mean(paths[p], axis=0)
+                paths[p] = None
+
+    batch: list = []
+    width = depth = 0
+    for p, fold in folds:
+        _, z, _, test, _ = fold
+        k, n_out = z.shape[1], int(test.sum())
+        entries = _fold_entries(max(width, k), max(depth, n_out))
+        if batch and (len(batch) + 1) * entries > CV_BATCH_ENTRIES:
+            run(batch)
+            batch, width, depth = [], 0, 0
+        batch.append((p, fold))
+        width, depth = max(width, k), max(depth, n_out)
+    run(batch)
+    return curves
+
+
 def boost_cv_curve(
     response: np.ndarray,
     design: np.ndarray,
@@ -244,34 +397,18 @@ def boost_cv_curve(
     remaining folds; entry 0 belongs to the zero model.  Training columns
     that are identically zero within a fold are excluded for that fold only.
 
-    Each fold runs the one boosting kernel (``boosting._gram_path``) on its
-    training rows, with its held-out rows as the held-out pair, so the
-    curve is the held-out risk of the very selection path and steps that
-    ``boost`` would take on those training rows.  Each fold's held-out
-    design is passed transposed and C-contiguous, so that a step reads one
-    contiguous row.  Folds run one after another, not in lockstep: a
-    bit-identical lockstep must hold every fold's training design and Gram
-    cache at once, which raised peak memory and was no faster.
+    Each fold's risk path is that of the one boosting kernel
+    (``boosting._gram_path``) on its training rows, with its held-out rows
+    as the held-out pair, so the curve is the held-out risk of the very
+    selection path and steps that ``boost`` would take on those training
+    rows.  The folds run in lockstep, stacked along a leading fold axis,
+    when their Gram and held-out caches fit together within
+    ``CV_BATCH_ENTRIES`` values (small designs, as in the simulations);
+    otherwise each runs alone through the kernel.  The lockstep keeps every
+    arithmetic operation of the kernel, so the curve has the same bits
+    either way.
     """
-    y = np.asarray(response, dtype=float)
-    z = np.asarray(design, dtype=float)
-    if y.shape[0] != plan.assignment.shape[0] or z.shape[0] != y.shape[0]:
-        raise ValidationError("data and fold plan have different numbers of rows")
-
-    def one_fold(f: int) -> np.ndarray:
-        train = plan.assignment != f
-        test = ~train
-        return _gram_path(
-            y[train],
-            z[train],
-            y[test],
-            np.ascontiguousarray(z[test].T),
-            config.learning_rate,
-            config.m_stop,
-            warn_label=f"fold {f} training data",
-        )[2]
-
-    return np.mean([one_fold(f) for f in range(plan.n_folds)], axis=0)
+    return _cv_curves([(response, design, plan)], config)[0]
 
 
 def choose_stopping_iteration(curve: np.ndarray) -> int:

@@ -7,6 +7,13 @@ data, run the final boost, and optionally deselect and/or compute the
 least-squares benchmark.  The variance parameters are estimated once on the
 full sample and shared by every fold, which keeps the folds comparable and
 the whole procedure deterministic given a seed.
+
+A fit runs in three phases, ``_prepare_fit`` (fold plan, design, variance
+components, whitening), ``_cross_validate`` (CV curve and stopping
+iteration) and ``_finish_fit`` (final boost, deselection, benchmark).
+``fit_model``, the ``cv`` subcommand and ``simulate.run_experiment`` share
+them; the simulation prepares every replication first, so that the CV
+phase boosts all their folds together.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from __future__ import annotations
 import dataclasses
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -22,7 +29,7 @@ from .boosting import BoostConfig, BoostFit, DeselectionResult, boost, deselect,
 from .crossval import (
     FoldKind,
     FoldPlan,
-    boost_cv_curve,
+    _cv_curves,
     choose_stopping_iteration,
     make_spatial_folds,
     make_time_folds,
@@ -136,6 +143,82 @@ class FitResult:
         raise ValidationError(f"unknown method {method!r}")
 
 
+@dataclass(frozen=True)
+class _Prepared:
+    """A fit up to its cross-validation: fold plan and whitened data."""
+
+    spec: ModelSpec
+    plan: FoldPlan
+    components: VarianceComponents
+    transformed: TransformedData
+
+
+def _prepare_fit(
+    data: PanelDataset,
+    weights: SpatialWeights,
+    spec: ModelSpec,
+    config: BoostConfig,
+    cv_kind: FoldKind,
+    n_folds: int,
+    seed: int,
+) -> _Prepared:
+    """First phase of a fit: the fold plan, then ``prepare`` with it."""
+    plan = build_fold_plan(data, cv_kind, n_folds, seed)
+    _, components, td = prepare(data, weights, spec, config, plan)
+    return _Prepared(spec, plan, components, td)
+
+
+def _cross_validate(
+    prepared: Sequence[_Prepared], config: BoostConfig
+) -> list[tuple[np.ndarray, int]]:
+    """Second phase: each fit's CV curve and stopping iteration.
+
+    The folds of all the fits are boosted together, in lockstep batches
+    where they are small; each curve has the bits ``boost_cv_curve`` gives
+    that fit alone.
+    """
+    curves = _cv_curves(
+        [(p.transformed.response, p.transformed.design, p.plan) for p in prepared], config
+    )
+    return [(curve, choose_stopping_iteration(curve)) for curve in curves]
+
+
+def _finish_fit(
+    prepared: _Prepared,
+    config: BoostConfig,
+    curve: np.ndarray,
+    m_opt: int,
+    deselect_threshold: float | None,
+    baseline: bool,
+) -> FitResult:
+    """Last phase: the final boost, deselection and the least-squares benchmark."""
+    td = prepared.transformed
+    fit = boost(td, config, n_iterations=m_opt)
+    des = None
+    if deselect_threshold is not None:
+        des = deselect(td, config, fit, threshold=deselect_threshold)
+    fgls = None
+    unavailable = None
+    if baseline:
+        try:
+            fgls = fgls_baseline(td)
+        except RankError as exc:
+            unavailable = str(exc)
+    return FitResult(
+        spec=prepared.spec,
+        components=prepared.components,
+        transformed=td,
+        fold_plan=prepared.plan,
+        cv_curve=curve,
+        m_opt=m_opt,
+        fit=fit,
+        deselection=des,
+        baseline=fgls,
+        baseline_unavailable_reason=unavailable,
+        names=td.names,
+    )
+
+
 def fit_model(
     data: PanelDataset,
     weights: SpatialWeights,
@@ -153,31 +236,6 @@ def fit_model(
     the least-squares benchmark when the design permits it; an
     under-determined design marks it unavailable instead of failing the run.
     """
-    plan = build_fold_plan(data, cv_kind, n_folds, seed)
-    design, components, td = prepare(data, weights, spec, config, plan)
-    curve = boost_cv_curve(td.response, td.design, plan, config)
-    m_opt = choose_stopping_iteration(curve)
-    fit = boost(td, config, n_iterations=m_opt)
-    des = None
-    if deselect_threshold is not None:
-        des = deselect(td, config, fit, threshold=deselect_threshold)
-    fgls = None
-    unavailable = None
-    if baseline:
-        try:
-            fgls = fgls_baseline(td)
-        except RankError as exc:
-            unavailable = str(exc)
-    return FitResult(
-        spec=spec,
-        components=components,
-        transformed=td,
-        fold_plan=plan,
-        cv_curve=curve,
-        m_opt=m_opt,
-        fit=fit,
-        deselection=des,
-        baseline=fgls,
-        baseline_unavailable_reason=unavailable,
-        names=design.names,
-    )
+    prepared = _prepare_fit(data, weights, spec, config, cv_kind, n_folds, seed)
+    [(curve, m_opt)] = _cross_validate([prepared], config)
+    return _finish_fit(prepared, config, curve, m_opt, deselect_threshold, baseline)

@@ -26,7 +26,7 @@ from .crossval import FoldKind, _stream
 from .errors import AlignmentError, ValidationError
 from .linalg import SpatialFilter
 from .panel import INTERCEPT_NAME, LAG_PREFIX, ModelSpec, PanelDataset, spatial_lag
-from .pipeline import fit_model
+from .pipeline import _cross_validate, _finish_fit, _prepare_fit
 from .weights import SpatialWeights, build_knn_weights
 
 METHODS = ("fgls", "ltb", "des")
@@ -278,6 +278,12 @@ def run_experiment(
     failing the experiment.  Before any fit, ``ValidationError`` refuses an
     empty or repeated method list, and candidates that are all informative
     or all noise, which leave a selection rate undefined.
+
+    The fits run in the phases of ``fit_model``, each over every
+    replication: all are prepared first, then the cross-validation folds of
+    all of them are boosted together, then each final fit is made.  Every
+    fit equals ``fit_model`` on its replication bit for bit; only the order
+    of warnings across replications differs from a loop of ``fit_model``.
     """
     methods = tuple(methods)
     unknown = [s for s in methods if s not in METHODS]
@@ -295,22 +301,28 @@ def run_experiment(
         spec = ModelSpec()
     geometry = cfg.geometry()
 
-    fits = []
-    for r in range(cfg.n_replications):
-        data, weights = generate_panel(cfg, r, geometry=geometry)
-        fits.append(
-            fit_model(
-                data,
-                weights,
-                spec,
-                config=boost_config,
-                cv_kind=FoldKind.SPATIAL,
-                n_folds=n_folds,
-                seed=cfg.fold_seed(r),
-                deselect_threshold=deselect_threshold if "des" in methods else None,
-                baseline="fgls" in methods,
-            )
+    prepared = [
+        _prepare_fit(
+            *generate_panel(cfg, r, geometry=geometry),
+            spec,
+            boost_config,
+            FoldKind.SPATIAL,
+            n_folds,
+            cfg.fold_seed(r),
         )
+        for r in range(cfg.n_replications)
+    ]
+    fits = [
+        _finish_fit(
+            p,
+            boost_config,
+            curve,
+            m_opt,
+            deselect_threshold if "des" in methods else None,
+            "fgls" in methods,
+        )
+        for p, (curve, m_opt) in zip(prepared, _cross_validate(prepared, boost_config))
+    ]
 
     truth = cfg.true_coefficients
     details: list[dict] = []

@@ -672,6 +672,99 @@ def test_cv_curve_is_bitwise_the_reference_kernel_with_a_dead_column_in_one_fold
     assert np.array_equal(curve, expected)
 
 
+def _batch_problems():
+    """Three problems of unequal shape: unequal spatial folds, time folds, a dead column.
+
+    The dead column is identically zero in fold 1's training rows of the
+    third problem only.
+    """
+    n, t, k = 15, 4, 12
+    rng = np.random.default_rng(31)
+    labels = np.repeat([0, 1, 2], [1, 4, 10])
+    unequal = FoldPlan(FoldKind.SPATIAL, 3, np.tile(labels, t), n, t)
+    y1, z1 = _sparse_signal(rng, n * t, k)
+    y2, z2 = _sparse_signal(rng, n * t, k - 3)
+    n3, t3 = 15, 2
+    plan3 = FoldPlan(FoldKind.SPATIAL, 3, np.tile(np.arange(n3) % 3, t3), n3, t3)
+    z3 = rng.normal(size=(n3 * t3, 4))
+    z3[plan3.assignment != 1, 2] = 0.0
+    y3 = z3 @ np.array([1.0, -0.5, 3.0, 0.0]) + 0.2 * rng.normal(size=n3 * t3)
+    return [(y1, z1, unequal), (y2, z2, make_time_folds(n, t)), (y3, z3, plan3)]
+
+
+def _spy(monkeypatch, name):
+    """Record the calls of a ``spboost.crossval`` function while still running it."""
+    calls = []
+    real = getattr(spboost.crossval, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spboost.crossval, name, spy)
+    return calls
+
+
+def test_cv_curves_of_a_mixed_batch_are_bitwise_the_reference_kernel(monkeypatch):
+    problems = _batch_problems()
+    cfg = BoostConfig(learning_rate=0.3, m_stop=400)
+    batches = _spy(monkeypatch, "_lockstep_risks")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        curves = spboost.crossval._cv_curves(problems, cfg)
+    # every fold of the three problems ran in one lockstep batch
+    assert [len(b[0]) for b in batches] == [3 + 4 + 3]
+    messages = [str(w.message) for w in caught if "identically zero" in str(w.message)]
+    assert messages == [
+        "excluding 1 identically zero column(s) from boosting "
+        "(fold 1 training data): indices [2]"
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for (y, z, plan), curve in zip(problems, curves):
+            assert np.array_equal(curve, _reference_cv_curve(y, z, plan, cfg)), plan.kind
+            assert np.array_equal(curve, boost_cv_curve(y, z, plan, cfg))
+
+
+def test_cv_curves_split_by_the_entry_cap_keep_their_bits(monkeypatch):
+    problems = _batch_problems()
+    cfg = BoostConfig(m_stop=300)
+    # room for two or three folds of the first two problems per batch
+    monkeypatch.setattr(
+        spboost.crossval, "CV_BATCH_ENTRIES", 3 * spboost.crossval._fold_entries(12, 15)
+    )
+    batches = _spy(monkeypatch, "_lockstep_risks")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        curves = spboost.crossval._cv_curves(problems, cfg)
+        expected = [_reference_cv_curve(y, z, plan, cfg) for y, z, plan in problems]
+    sizes = [len(b[0]) for b in batches]
+    assert len(sizes) >= 3 and max(sizes) <= 3 and sum(sizes) <= 10
+    for curve, reference in zip(curves, expected):
+        assert np.array_equal(curve, reference)
+
+
+def test_a_fold_over_the_entry_cap_runs_alone_through_the_kernel(monkeypatch):
+    rng = np.random.default_rng(5)
+    n, t = 12, 3
+    wide = _sparse_signal(rng, n * t, 60) + (random_fold_plan(rng, n, t, 3),)
+    narrow = _batch_problems()[:2]
+    cfg = BoostConfig(m_stop=200)
+    cap = 4 * spboost.crossval._fold_entries(12, 15)
+    assert spboost.crossval._fold_entries(60, 12) > cap
+    monkeypatch.setattr(spboost.crossval, "CV_BATCH_ENTRIES", cap)
+    batches = _spy(monkeypatch, "_lockstep_risks")
+    alone = _spy(monkeypatch, "_gram_path")
+    problems = [narrow[0], wide, narrow[1]]
+    curves = spboost.crossval._cv_curves(problems, cfg)
+    # each of the wide problem's three folds ran alone, no lockstep batch
+    # held one of them, and the narrow problems still batched
+    assert [a[1].shape[1] for a in alone].count(60) == 3
+    assert batches and all(z.shape[1] < 60 for b in batches for _, z, *_ in b[0])
+    for (y, z, plan), curve in zip(problems, curves):
+        assert np.array_equal(curve, _reference_cv_curve(y, z, plan, cfg))
+
+
 def test_cv_curve_duplicated_column_tie_goes_to_lower_index():
     rng = np.random.default_rng(11)
     n, t = 12, 2

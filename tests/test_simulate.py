@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+import spboost.crossval
 import spboost.simulate
 from spboost.boosting import BoostConfig
 from spboost.errors import AlignmentError, ValidationError
-from spboost.panel import INTERCEPT_NAME, LAG_PREFIX
+from spboost.panel import INTERCEPT_NAME, LAG_PREFIX, ModelSpec
+from spboost.pipeline import fit_model
 from spboost.simulate import (
     DEFAULT_TRUE_COEFFICIENTS,
     LEVEL_HALF_WIDTH,
@@ -241,6 +243,59 @@ def test_single_replication_metrics_are_deterministic():
     assert a.per_replication == b.per_replication
 
 
+def test_run_experiment_is_bitwise_a_loop_of_fit_model(monkeypatch):
+    # the staged run boosts the folds of all replications in one lockstep
+    # batch; each fit must keep the bits it has when fitted alone
+    cfg = small_cfg(n_replications=3)
+    config = BoostConfig(m_stop=150)
+    fits, batches = [], []
+    finish, lockstep = spboost.simulate._finish_fit, spboost.crossval._lockstep_risks
+
+    def keep_fit(*args):
+        fits.append(finish(*args))
+        return fits[-1]
+
+    def keep_batch(folds, *args):
+        batches.append(len(folds))
+        return lockstep(folds, *args)
+
+    monkeypatch.setattr(spboost.simulate, "_finish_fit", keep_fit)
+    monkeypatch.setattr(spboost.crossval, "_lockstep_risks", keep_batch)
+    methods = ("fgls", "ltb", "des")
+    result = run_experiment(cfg, methods=methods, boost_config=config, n_folds=2)
+    assert batches == [3 * 2]
+
+    geometry = cfg.geometry()
+    alone = []
+    for r, staged in enumerate(fits):
+        data, weights = generate_panel(cfg, r, geometry=geometry)
+        fr = fit_model(
+            data, weights, ModelSpec(), config=config, n_folds=2, seed=cfg.fold_seed(r),
+            deselect_threshold=0.01, baseline=True,
+        )
+        assert np.array_equal(staged.cv_curve, fr.cv_curve), r
+        assert staged.m_opt == fr.m_opt
+        for method in methods:
+            assert np.array_equal(staged.coefficients(method), fr.coefficients(method))
+        alone.append(fr)
+    truth = cfg.true_coefficients
+    rows = []
+    for method in methods:
+        scores = []
+        for r, fr in enumerate(alone):
+            coefs = fr.coefficients(method)
+            tpr, tnr = evaluate_selection(coefs, fr.names, truth)
+            se = evaluate_mse(coefs, fr.names, truth)
+            scores.append((tpr, tnr, se))
+            rows.append(
+                {"replication": r, "method": method, "tpr": tpr, "tnr": tnr, "squared_error": se}
+            )
+        means = tuple(float(v) for v in np.asarray(scores).mean(axis=0))
+        m = result.per_method[method]
+        assert (m.tpr, m.tnr, m.mse) == means
+    assert list(result.per_replication) == rows
+
+
 def test_metrics_stay_in_valid_ranges():
     cfg = small_cfg(n_replications=2)
     result = run_experiment(
@@ -295,7 +350,7 @@ def test_run_experiment_refuses_undefined_selection_rates(monkeypatch, n_candida
     def no_fit(*args, **kwargs):
         raise AssertionError("the configuration must be refused before any fit")
 
-    monkeypatch.setattr(spboost.simulate, "fit_model", no_fit)
+    monkeypatch.setattr(spboost.simulate, "_prepare_fit", no_fit)
     cfg = small_cfg(n_candidates=n_candidates, true_coefficients=truth)
     with pytest.raises(ValidationError, match=f"n_candidates={n_candidates}"):
         run_experiment(cfg)
