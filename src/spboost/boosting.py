@@ -260,6 +260,11 @@ def boost(
     )
 
 
+def _check_threshold(threshold: float) -> None:
+    if not (0 < threshold < 1):
+        raise ValidationError(f"threshold must be in (0, 1), got {threshold}")
+
+
 def deselect(
     td: TransformedData,
     config: BoostConfig,
@@ -273,8 +278,7 @@ def deselect(
     the overall reduction are removed and the model is boosted again on the
     survivors with the same iteration count and step length.
     """
-    if not (0 < threshold < 1):
-        raise ValidationError(f"threshold must be in (0, 1), got {threshold}")
+    _check_threshold(threshold)
     if fit.names != td.names:
         raise ValidationError("fit and transformed data have different columns")
     k = td.n_columns

@@ -18,17 +18,10 @@ import time
 
 from . import __version__
 from .boosting import BoostConfig
-from .crossval import FoldKind
+from .crossval import FoldKind, boost_cv_curve, choose_stopping_iteration
 from .errors import EstimationError, ValidationError
 from .panel import ModelSpec, read_panel_csv
-from .pipeline import (
-    _cross_validate,
-    _prepare_fit,
-    build_fold_plan,
-    fit_model,
-    prepare,
-    standardize_regressors,
-)
+from .pipeline import build_fold_plan, fit_model, prepare, standardize_regressors
 from .report import (
     components_payload,
     cross_validation_payload,
@@ -223,15 +216,17 @@ def cmd_fit(args) -> int:
 def cmd_cv(args) -> int:
     start = time.time()
     data, weights, inputs, spec, config = _load_inputs(args)
-    prepared = _prepare_fit(data, weights, spec, config, FoldKind(args.cv), args.folds, args.seed)
-    [(curve, m_opt)] = _cross_validate([prepared], config)
+    plan = build_fold_plan(data, FoldKind(args.cv), args.folds, args.seed)
+    _, td = prepare(data, weights, spec, config, plan)
+    curve = boost_cv_curve(td.response, td.design, plan, config)
+    m_opt = choose_stopping_iteration(curve)
     _write_report(
         args,
         "cv.json",
         start,
         {
             "inputs": inputs,
-            "cross_validation": cross_validation_payload(prepared.plan, m_opt, curve),
+            "cross_validation": cross_validation_payload(plan, m_opt, curve),
         },
     )
     write_cv_curve(args.out_dir, curve)
@@ -244,7 +239,7 @@ def cmd_transform(args) -> int:
     # fit's fold plan, so that boosted preliminary residuals whiten alike;
     # built only on that route, since least-squares residuals need none
     plan = functools.partial(build_fold_plan, data, FoldKind(args.cv), args.folds, args.seed)
-    _, components, td = prepare(data, weights, spec, config, plan)
+    components, td = prepare(data, weights, spec, config, plan)
     _write_report(
         args,
         "transform.json",

@@ -256,7 +256,10 @@ def location_effect_moment_system(
 
 
 def _closed_form_sigma(system: MomentSystem, rho):
-    """Least-squares sigma^2 at fixed rho, before the sigma^2 >= 0 clamp."""
+    """Least-squares sigma^2 at fixed rho, before the sigma^2 >= 0 clamp.
+
+    ``rho`` is a float, or an (N, 1) column for N values at once.
+    """
     c = system.matrix[:, 2]
     rhs = system.vector - system.matrix[:, 0] * rho - system.matrix[:, 1] * rho * rho
     return (rhs @ c) / (c @ c)
@@ -278,12 +281,8 @@ def _profiled_global_minimum(system: MomentSystem) -> tuple[float, float, float]
     solver against a poor basin or a run stalled against a clamp.
     """
     rhos = np.linspace(-RHO_BOUND, RHO_BOUND, 4001)
-    # the closed form over the grid, one row per moment condition, with the
-    # scalar form's products and its three-term sum in order
-    m, c = system.matrix, system.matrix[:, 2]
-    rhs = system.vector[:, None] - np.outer(m[:, 0], rhos) - np.outer(m[:, 1], rhos) * rhos
-    sigmas = np.maximum((c[0] * rhs[0] + c[1] * rhs[1] + c[2] * rhs[2]) / (c @ c), 0.0)
-    resid = m @ np.vstack([rhos, rhos * rhos, sigmas]) - system.vector[:, None]
+    sigmas = np.maximum(_closed_form_sigma(system, rhos[:, None]), 0.0)
+    resid = system.matrix @ np.vstack([rhos, rhos * rhos, sigmas]) - system.vector[:, None]
     i = int(np.argmin(np.einsum("ij,ij->j", resid, resid)))
 
     def g(rho):

@@ -8,12 +8,9 @@ least-squares benchmark.  The variance parameters are estimated once on the
 full sample and shared by every fold, which keeps the folds comparable and
 the whole procedure deterministic given a seed.
 
-A fit runs in three phases, ``_prepare_fit`` (fold plan, design, variance
-components, whitening), ``_cross_validate`` (CV curve and stopping
-iteration) and ``_finish_fit`` (final boost, deselection, benchmark).
-``fit_model``, the ``cv`` subcommand and ``simulate.run_experiment`` share
-them; the simulation prepares every replication first, so that the CV
-phase boosts all their folds together.
+``_fit_all`` runs that pass over a sequence of panels: ``fit_model`` gives
+it one, ``simulate.run_experiment`` every replication, so that the
+cross-validation folds of all of them are boosted together.
 """
 
 from __future__ import annotations
@@ -21,11 +18,12 @@ from __future__ import annotations
 import dataclasses
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .boosting import BoostConfig, BoostFit, DeselectionResult, boost, deselect, fgls_baseline
+from .boosting import _check_threshold
 from .crossval import (
     FoldKind,
     FoldPlan,
@@ -93,7 +91,7 @@ def prepare(
     spec: ModelSpec,
     config: BoostConfig,
     plan: FoldPlan | Callable[[], FoldPlan],
-) -> tuple[AugmentedDesign, VarianceComponents, TransformedData]:
+) -> tuple[VarianceComponents, TransformedData]:
     """The stages before boosting: design, variance components, whitening.
 
     The variance parameters are estimated once on the full sample from
@@ -105,7 +103,7 @@ def prepare(
     components = estimate_variance_components(
         data, design, weights, spec, config=config, cv_plan=plan
     )
-    return design, components, whiten(data, design, weights, spec, components)
+    return components, whiten(data, design, weights, spec, components)
 
 
 @dataclass(frozen=True)
@@ -143,80 +141,59 @@ class FitResult:
         raise ValidationError(f"unknown method {method!r}")
 
 
-@dataclass(frozen=True)
-class _Prepared:
-    """A fit up to its cross-validation: fold plan and whitened data."""
-
-    spec: ModelSpec
-    plan: FoldPlan
-    components: VarianceComponents
-    transformed: TransformedData
-
-
-def _prepare_fit(
-    data: PanelDataset,
-    weights: SpatialWeights,
+def _fit_all(
+    panels: Iterable[tuple[PanelDataset, SpatialWeights, int]],
     spec: ModelSpec,
     config: BoostConfig,
     cv_kind: FoldKind,
     n_folds: int,
-    seed: int,
-) -> _Prepared:
-    """First phase of a fit: the fold plan, then ``prepare`` with it."""
-    plan = build_fold_plan(data, cv_kind, n_folds, seed)
-    _, components, td = prepare(data, weights, spec, config, plan)
-    return _Prepared(spec, plan, components, td)
-
-
-def _cross_validate(
-    prepared: Sequence[_Prepared], config: BoostConfig
-) -> list[tuple[np.ndarray, int]]:
-    """Second phase: each fit's CV curve and stopping iteration.
-
-    The folds of all the fits are boosted together, in lockstep batches
-    where they are small; each curve has the bits ``boost_cv_curve`` gives
-    that fit alone.
-    """
-    curves = _cv_curves(
-        [(p.transformed.response, p.transformed.design, p.plan) for p in prepared], config
-    )
-    return [(curve, choose_stopping_iteration(curve)) for curve in curves]
-
-
-def _finish_fit(
-    prepared: _Prepared,
-    config: BoostConfig,
-    curve: np.ndarray,
-    m_opt: int,
     deselect_threshold: float | None,
     baseline: bool,
-) -> FitResult:
-    """Last phase: the final boost, deselection and the least-squares benchmark."""
-    td = prepared.transformed
-    fit = boost(td, config, n_iterations=m_opt)
-    des = None
+) -> list[FitResult]:
+    """``fit_model`` on each ``(data, weights, seed)`` panel, in order.
+
+    Every panel is prepared first (fold plan, then ``prepare``), then the
+    cross-validation folds of all of them are boosted together, in lockstep
+    batches where they are small, and then each final boost, deselection
+    and benchmark is run.  Each fit has the bits it has alone.  The
+    deselection threshold is checked before ``panels`` is iterated.
+    """
     if deselect_threshold is not None:
-        des = deselect(td, config, fit, threshold=deselect_threshold)
-    fgls = None
-    unavailable = None
-    if baseline:
-        try:
-            fgls = fgls_baseline(td)
-        except RankError as exc:
-            unavailable = str(exc)
-    return FitResult(
-        spec=prepared.spec,
-        components=prepared.components,
-        transformed=td,
-        fold_plan=prepared.plan,
-        cv_curve=curve,
-        m_opt=m_opt,
-        fit=fit,
-        deselection=des,
-        baseline=fgls,
-        baseline_unavailable_reason=unavailable,
-        names=td.names,
-    )
+        _check_threshold(deselect_threshold)
+    prepared = []
+    for data, weights, seed in panels:
+        plan = build_fold_plan(data, cv_kind, n_folds, seed)
+        prepared.append((plan, *prepare(data, weights, spec, config, plan)))
+    curves = _cv_curves([(td.response, td.design, plan) for plan, _, td in prepared], config)
+    results = []
+    for (plan, components, td), curve in zip(prepared, curves):
+        m_opt = choose_stopping_iteration(curve)
+        fit = boost(td, config, n_iterations=m_opt)
+        des = None
+        if deselect_threshold is not None:
+            des = deselect(td, config, fit, threshold=deselect_threshold)
+        fgls = unavailable = None
+        if baseline:
+            try:
+                fgls = fgls_baseline(td)
+            except RankError as exc:
+                unavailable = str(exc)
+        results.append(
+            FitResult(
+                spec=spec,
+                components=components,
+                transformed=td,
+                fold_plan=plan,
+                cv_curve=curve,
+                m_opt=m_opt,
+                fit=fit,
+                deselection=des,
+                baseline=fgls,
+                baseline_unavailable_reason=unavailable,
+                names=td.names,
+            )
+        )
+    return results
 
 
 def fit_model(
@@ -236,6 +213,6 @@ def fit_model(
     the least-squares benchmark when the design permits it; an
     under-determined design marks it unavailable instead of failing the run.
     """
-    prepared = _prepare_fit(data, weights, spec, config, cv_kind, n_folds, seed)
-    [(curve, m_opt)] = _cross_validate([prepared], config)
-    return _finish_fit(prepared, config, curve, m_opt, deselect_threshold, baseline)
+    return _fit_all(
+        [(data, weights, seed)], spec, config, cv_kind, n_folds, deselect_threshold, baseline
+    )[0]

@@ -26,7 +26,7 @@ from .crossval import FoldKind, _stream
 from .errors import AlignmentError, ValidationError
 from .linalg import SpatialFilter
 from .panel import INTERCEPT_NAME, LAG_PREFIX, ModelSpec, PanelDataset, spatial_lag
-from .pipeline import _cross_validate, _finish_fit, _prepare_fit
+from .pipeline import _fit_all
 from .weights import SpatialWeights, build_knn_weights
 
 METHODS = ("fgls", "ltb", "des")
@@ -279,11 +279,11 @@ def run_experiment(
     empty or repeated method list, and candidates that are all informative
     or all noise, which leave a selection rate undefined.
 
-    The fits run in the phases of ``fit_model``, each over every
-    replication: all are prepared first, then the cross-validation folds of
-    all of them are boosted together, then each final fit is made.  Every
-    fit equals ``fit_model`` on its replication bit for bit; only the order
-    of warnings across replications differs from a loop of ``fit_model``.
+    The replications are fitted by one ``pipeline._fit_all`` call: all are
+    generated and prepared first, then the cross-validation folds of all of
+    them are boosted together, then each final fit is made.  Every fit
+    equals ``fit_model`` on its replication bit for bit; only the order of
+    warnings across replications differs from a loop of ``fit_model``.
     """
     methods = tuple(methods)
     unknown = [s for s in methods if s not in METHODS]
@@ -301,28 +301,19 @@ def run_experiment(
         spec = ModelSpec()
     geometry = cfg.geometry()
 
-    prepared = [
-        _prepare_fit(
-            *generate_panel(cfg, r, geometry=geometry),
-            spec,
-            boost_config,
-            FoldKind.SPATIAL,
-            n_folds,
-            cfg.fold_seed(r),
-        )
+    replications = (
+        (*generate_panel(cfg, r, geometry=geometry), cfg.fold_seed(r))
         for r in range(cfg.n_replications)
-    ]
-    fits = [
-        _finish_fit(
-            p,
-            boost_config,
-            curve,
-            m_opt,
-            deselect_threshold if "des" in methods else None,
-            "fgls" in methods,
-        )
-        for p, (curve, m_opt) in zip(prepared, _cross_validate(prepared, boost_config))
-    ]
+    )
+    fits = _fit_all(
+        replications,
+        spec,
+        boost_config,
+        FoldKind.SPATIAL,
+        n_folds,
+        deselect_threshold if "des" in methods else None,
+        "fgls" in methods,
+    )
 
     truth = cfg.true_coefficients
     details: list[dict] = []

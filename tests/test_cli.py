@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import spboost.pipeline
+import spboost.simulate
 from spboost import __version__
 from spboost.boosting import BoostConfig
 from spboost.cli import build_parser, main
@@ -368,7 +369,7 @@ def test_transformed_csv_matches_prepare_in_period_major_order(panel_files, tmp_
     weights = build_knn_weights(pts, 3)
     data = dataclasses.replace(data, centroids=pts)
     plan = build_fold_plan(data, FoldKind.SPATIAL, 5, 2)
-    _, _, td = prepare(data, weights, ModelSpec(family="kkp"), BoostConfig(), plan)
+    _, td = prepare(data, weights, ModelSpec(family="kkp"), BoostConfig(), plan)
     with open(out / "transformed.csv") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["location", "period", "y_star", *td.names]
@@ -621,6 +622,32 @@ def test_negative_seed_is_refused(panel_files, tmp_path, capsys, command, cv):
     err = capsys.readouterr().err.splitlines()
     assert err == ["spboost: invalid input: --seed must be non-negative, got -1"]
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("tau", ["1.5", "0", "nan"])
+def test_out_of_range_tau_is_refused_before_any_fit(
+    panel_files, tmp_path, capsys, monkeypatch, tau
+):
+    # refused before a fold plan is built or a replication generated
+    def no_work(*args, **kwargs):
+        raise AssertionError("an invalid --tau must be refused before any work")
+
+    monkeypatch.setattr(spboost.pipeline, "build_fold_plan", no_work)
+    monkeypatch.setattr(spboost.simulate, "generate_panel", no_work)
+    panel, centroids = panel_files
+    out = tmp_path / "o"
+    for args in (fit_args(panel, centroids, out, "--tau", tau), sim_args(out, "--tau", tau)):
+        assert main(args) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"spboost: invalid input: threshold must be in (0, 1), got {float(tau)}"]
+        assert not out.exists()
+
+
+def test_unused_tau_is_accepted(panel_files, tmp_path):
+    # no deselection runs, so the threshold is never checked
+    panel, centroids = panel_files
+    assert main(fit_args(panel, centroids, tmp_path / "fit", "--no-deselect", "--tau", "1.5")) == 0
+    assert main(sim_args(tmp_path / "sim", "--methods", "fgls,ltb", "--tau", "1.5")) == 0
 
 
 # ---------------------------------------------------------------------------

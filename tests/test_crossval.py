@@ -846,7 +846,7 @@ def test_select_m_opt_is_deterministic():
     cfg = BoostConfig(m_stop=40)
 
     def select_m_opt():
-        _, _, td = prepare(data, w, ModelSpec(), cfg, plan)
+        _, td = prepare(data, w, ModelSpec(), cfg, plan)
         curve = boost_cv_curve(td.response, td.design, plan, cfg)
         return choose_stopping_iteration(curve), curve
 

@@ -249,21 +249,22 @@ def test_run_experiment_is_bitwise_a_loop_of_fit_model(monkeypatch):
     cfg = small_cfg(n_replications=3)
     config = BoostConfig(m_stop=150)
     fits, batches = [], []
-    finish, lockstep = spboost.simulate._finish_fit, spboost.crossval._lockstep_risks
+    fit_all, lockstep = spboost.simulate._fit_all, spboost.crossval._lockstep_risks
 
-    def keep_fit(*args):
-        fits.append(finish(*args))
-        return fits[-1]
+    def keep_fits(*args):
+        fits.extend(fit_all(*args))
+        return list(fits)
 
     def keep_batch(folds, *args):
         batches.append(len(folds))
         return lockstep(folds, *args)
 
-    monkeypatch.setattr(spboost.simulate, "_finish_fit", keep_fit)
+    monkeypatch.setattr(spboost.simulate, "_fit_all", keep_fits)
     monkeypatch.setattr(spboost.crossval, "_lockstep_risks", keep_batch)
     methods = ("fgls", "ltb", "des")
     result = run_experiment(cfg, methods=methods, boost_config=config, n_folds=2)
     assert batches == [3 * 2]
+    assert len(fits) == 3
 
     geometry = cfg.geometry()
     alone = []
@@ -347,10 +348,11 @@ def test_run_experiment_rejects_empty_or_repeated_methods(methods):
     ],
 )
 def test_run_experiment_refuses_undefined_selection_rates(monkeypatch, n_candidates, truth):
-    def no_fit(*args, **kwargs):
-        raise AssertionError("the configuration must be refused before any fit")
+    def no_work(*args, **kwargs):
+        raise AssertionError("the configuration must be refused before any panel or fit")
 
-    monkeypatch.setattr(spboost.simulate, "_prepare_fit", no_fit)
+    monkeypatch.setattr(spboost.simulate, "generate_panel", no_work)
+    monkeypatch.setattr(spboost.simulate, "_fit_all", no_work)
     cfg = small_cfg(n_candidates=n_candidates, true_coefficients=truth)
     with pytest.raises(ValidationError, match=f"n_candidates={n_candidates}"):
         run_experiment(cfg)
