@@ -76,7 +76,7 @@ def _add_cv_options(p: argparse.ArgumentParser) -> None:
 
 def _add_common_output(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out-dir", required=True, help="directory for the JSON/CSV reports")
-    p.add_argument("--threads", type=int, default=1, help="ignored, runs are serial")
+    p.add_argument("--threads", type=int, default=1, help="simulate's worker processes; others ignore it")
 
 
 def _add_panel_parser(sub, name: str, help_text: str) -> argparse.ArgumentParser:
@@ -292,6 +292,7 @@ def cmd_simulate(args) -> int:
         boost_config=config,
         n_folds=args.folds,
         deselect_threshold=args.tau,
+        workers=args.threads,
     )
     _write_report(args, "metrics.json", start, metrics_payload(metrics))
     write_metrics_reports(args.out_dir, metrics)
@@ -308,6 +309,8 @@ def main(argv: list[str] | None = None) -> int:
         "simulate": cmd_simulate,
     }
     try:
+        if args.threads < 1:
+            raise ValidationError(f"--threads must be at least 1, got {args.threads}")
         return handlers[args.command](args)
     except ValidationError as exc:
         print(f"spboost: invalid input: {exc}", file=sys.stderr)

@@ -13,6 +13,11 @@ from __future__ import annotations
 class SpboostError(Exception):
     """Base class for all package errors."""
 
+    def __reduce__(self):
+        # rebuilt without __init__, which some subclasses pass the values
+        # they format into the message; a worker's error is pickled
+        return type(self).__new__, (type(self), *self.args), self.__dict__
+
 
 class ValidationError(SpboostError):
     """Invalid input data, parameters, or model specification."""

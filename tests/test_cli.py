@@ -3,10 +3,12 @@
 import csv
 import dataclasses
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from spboost import __version__
 from spboost.boosting import BoostConfig
 from spboost.cli import build_parser, main
 from spboost.crossval import FoldKind
+from spboost.errors import ConditioningError
 from spboost.gmm import OLS_DIMENSION_RATIO
 from spboost.panel import ModelSpec, read_panel_csv, write_panel_csv
 from spboost.pipeline import build_fold_plan, prepare
@@ -662,8 +665,9 @@ def test_version_flag_exits_cleanly(capsys):
 
 
 def test_threads_flag_is_accepted_and_ignored(monkeypatch):
-    # --threads is accepted and ignored; its default no longer reads the
-    # environment, whatever SPBOOST_THREADS says
+    # --threads is accepted by every subcommand (simulate forks that many
+    # workers; fit, cv and transform ignore it); its default does not read
+    # the environment, whatever SPBOOST_THREADS says
     monkeypatch.setenv("SPBOOST_THREADS", "4")
     args = build_parser().parse_args(["simulate", "--out-dir", "x"])
     assert args.threads == 1
@@ -671,6 +675,108 @@ def test_threads_flag_is_accepted_and_ignored(monkeypatch):
         ["simulate", "--out-dir", "x", "--threads", "2"]
     )
     assert args.threads == 2
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+@pytest.mark.parametrize("command", ["fit", "cv", "transform", "simulate"])
+def test_threads_below_one_are_refused(panel_files, tmp_path, capsys, command, threads):
+    panel, centroids = panel_files
+    out = tmp_path / command
+    if command == "simulate":
+        argv = sim_args(out, "--nsim", "2", "--threads", threads)
+    else:
+        argv = [command, *fit_args(panel, centroids, out, "--threads", threads)[1:]]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"spboost: invalid input: --threads must be at least 1, got {threads}"]
+    assert not out.exists()
+
+
+# negative variance estimates and fits without risk reduction: three of
+# each warning at --nsim 4
+WARNING_SIM = [
+    "simulate", "--n", "20", "--k", "6", "--nsim", "4", "--mstop-budget", "30",
+    "--sigma-eps2", "1e4", "--sigma-mu2", "0.01",
+]
+
+
+@pytest.fixture
+def two_processors(monkeypatch):
+    """Let ``run_experiment`` see two processors, and count its forked runs."""
+    forked = []
+    forked_rows = spboost.simulate._forked_rows
+
+    def spy(*args):
+        forked.append(args[1:])
+        return forked_rows(*args)
+
+    monkeypatch.setattr(spboost.simulate.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(spboost.simulate, "_forked_rows", spy)
+    return forked
+
+
+@pytest.mark.parametrize("ignore_module", [None, r"spboost\.gmm"])
+def test_forked_simulation_matches_serial(tmp_path, two_processors, ignore_module):
+    # ignoring one module's warnings shows that each warning is re-issued
+    # from the module that raised it in the worker
+    outs, caught = [tmp_path / "t1", tmp_path / "t2"], []
+    for threads, out in zip((1, 2), outs):
+        # one --out-dir for both, which the report echoes
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            if ignore_module:
+                warnings.filterwarnings("ignore", module=ignore_module)
+            argv = [*WARNING_SIM, "--threads", str(threads), "--out-dir", str(tmp_path / "out")]
+            assert main(argv) == 0
+        assert multiprocessing.active_children() == []
+        os.rename(tmp_path / "out", out)
+        caught.append(
+            sorted((w.category, str(w.message), w.filename, w.lineno) for w in record)
+        )
+    assert two_processors == [(range(4), 2)]
+    assert caught[0] == caught[1]
+    texts = [text.split(" ")[:3] for _, text, _, _ in caught[0]]
+    assert len(texts) == (3 if ignore_module else 6)
+    assert texts.count(["boosting", "achieved", "no"]) == 3
+    for name in ("metrics.csv", "replications.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    one, two = (load_json(out / "metrics.json") for out in outs)
+    for payload in (one, two):
+        del payload["timing_seconds"], payload["parameters"]["threads"]
+    assert one == two
+
+
+def test_worker_warning_from_a_file_no_module_has_is_shown(tmp_path, monkeypatch, two_processors):
+    fit_all = spboost.simulate._fit_all
+
+    def warn_then_fit(*args):
+        warnings.warn_explicit("from a generated file", UserWarning, "generated.py", 7)
+        return fit_all(*args)
+
+    monkeypatch.setattr(spboost.simulate, "_fit_all", warn_then_fit)
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        assert main([*WARNING_SIM, "--threads", "2", "--out-dir", str(tmp_path)]) == 0
+    shown = [(w.filename, w.lineno) for w in record if str(w.message) == "from a generated file"]
+    assert two_processors == [(range(4), 2)]
+    assert shown == [("generated.py", 7)] * 4  # one _fit_all call per chunk
+
+
+def test_worker_estimation_error_exits_3(tmp_path, capsys, monkeypatch, two_processors):
+    def fail(panels, *args):
+        first = next(iter(panels))[2]  # the fold seed of the chunk's first replication
+        raise ConditioningError(f"covariance block (fold seed {first})", -1.25)
+
+    monkeypatch.setattr(spboost.simulate, "_fit_all", fail)
+    errors = []
+    for threads in (1, 2):
+        assert main([*WARNING_SIM, "--threads", str(threads), "--out-dir", str(tmp_path)]) == 3
+        errors.append(capsys.readouterr().err)
+        assert multiprocessing.active_children() == []
+    assert two_processors == [(range(4), 2)]
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("spboost: estimation failed: covariance block (fold seed ")
+    assert errors[0].endswith("(minimum eigenvalue -1.250000e+00)\n")
 
 
 ENVELOPE = {"tool", "command", "seed", "parameters", "timing_seconds"}

@@ -356,3 +356,26 @@ def test_run_experiment_refuses_undefined_selection_rates(monkeypatch, n_candida
     cfg = small_cfg(n_candidates=n_candidates, true_coefficients=truth)
     with pytest.raises(ValidationError, match=f"n_candidates={n_candidates}"):
         run_experiment(cfg)
+
+
+@pytest.mark.parametrize(
+    "workers, n_replications, n_cpus, expected",
+    [
+        (1, 20, 2, 1),  # one worker: the in-process run
+        (8, 3, 16, 3),  # more workers than replications
+        (8, 20, 2, 2),  # more workers than processors
+        (2, 20, 2, 2),
+    ],
+)
+def test_worker_count(workers, n_replications, n_cpus, expected):
+    assert spboost.simulate._worker_count(workers, n_replications, n_cpus) == expected
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_run_experiment_refuses_fewer_than_one_worker(monkeypatch, workers):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the worker count must be refused before any fit")
+
+    monkeypatch.setattr(spboost.simulate, "_fit_all", no_work)
+    with pytest.raises(ValidationError, match=f"workers must be at least 1, got {workers}"):
+        run_experiment(small_cfg(), workers=workers)
