@@ -9,8 +9,9 @@ full sample and shared by every fold, which keeps the folds comparable and
 the whole procedure deterministic given a seed.
 
 ``_fit_all`` runs that pass over a sequence of panels: ``fit_model`` gives
-it one, ``simulate.run_experiment`` every replication, so that the
-cross-validation folds of all of them are boosted together.
+it one, ``simulate.run_experiment`` every replication, so that the moment
+systems of all of them are solved together and their cross-validation
+folds boosted together.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .crossval import (
     make_time_folds,
 )
 from .errors import RankError, ValidationError
-from .gmm import VarianceComponents, estimate_variance_components
+from .gmm import VarianceComponents, _moment_systems, _solve_free, _variance_components
 from .linalg import fixed_effects_whitener, random_effects_whitener
 from .panel import AugmentedDesign, Effects, ModelSpec, PanelDataset, augment_design
 from .transform import TransformedData, transform_fixed, transform_random
@@ -85,6 +86,26 @@ def whiten(
     return transform_random(data, design, op)
 
 
+def _prepare_all(panels: Iterable, spec: ModelSpec, config: BoostConfig) -> list:
+    """``(plan, *prepare(data, weights, spec, config, plan))`` of each
+    ``(data, weights, plan)``, in stages across the panels: the design,
+    preliminary residuals and moment systems of each as it is drawn; one
+    ``gmm._solve_free`` call over the free systems of all; then the variance
+    components and whitening of each."""
+    staged = []
+    for data, weights, plan in panels:
+        design = augment_design(data, weights, spec)
+        systems = _moment_systems(data, design, weights, spec, config=config, cv_plan=plan)
+        staged.append((data, weights, plan, design, *systems))
+    solutions = iter(_solve_free([s for *_, free, _ in staged for s in free]))
+    prepared = []
+    for k, (data, weights, plan, design, free, pinned) in enumerate(staged):
+        staged[k] = None  # so that each design goes once its panel is whitened
+        components = _variance_components(spec, pinned, [next(solutions) for _ in free])
+        prepared.append((plan, components, whiten(data, design, weights, spec, components)))
+    return prepared
+
+
 def prepare(
     data: PanelDataset,
     weights: SpatialWeights,
@@ -95,15 +116,13 @@ def prepare(
     """The stages before boosting: design, variance components, whitening.
 
     The variance parameters are estimated once on the full sample from
-    preliminary residuals and the data whitened once.  ``plan`` is the fold
-    plan for boosted preliminary residuals, or a zero-argument callable
-    that builds it only when they are boosted.
+    preliminary residuals, as ``gmm.estimate_variance_components`` does,
+    and the data whitened once.  ``plan`` is the fold plan for boosted
+    preliminary residuals, or a zero-argument callable that builds it only
+    when they are boosted.
     """
-    design = augment_design(data, weights, spec)
-    components = estimate_variance_components(
-        data, design, weights, spec, config=config, cv_plan=plan
-    )
-    return components, whiten(data, design, weights, spec, components)
+    _, components, transformed = _prepare_all([(data, weights, plan)], spec, config)[0]
+    return components, transformed
 
 
 @dataclass(frozen=True)
@@ -152,18 +171,26 @@ def _fit_all(
 ) -> list[FitResult]:
     """``fit_model`` on each ``(data, weights, seed)`` panel, in order.
 
-    Every panel is prepared first (fold plan, then ``prepare``), then the
-    cross-validation folds of all of them are boosted together, in lockstep
-    batches where they are small, and then each final boost, deselection
-    and benchmark is run.  Each fit has the bits it has alone.  The
-    deselection threshold is checked before ``panels`` is iterated.
+    The fit runs in stages, each over every panel before the next begins:
+    (1) the fold plan, design, preliminary residuals and moment systems of
+    each panel; (2) one lockstep solve of the moment systems with a free
+    rho, of all panels; (3) the variance components and whitening of each;
+    (4) the cross-validation folds of all panels, boosted together in
+    lockstep batches where they are small; (5) each final boost,
+    deselection and benchmark.  Each fit has the bits it has alone.
+    Warnings come in that stage order, and in panel order within a stage,
+    with the text and count of a loop of ``fit_model``; an error is raised
+    where its stage reaches it, so the earlier stages of later panels have
+    run.  The deselection threshold is checked before ``panels`` is
+    iterated.
     """
     if deselect_threshold is not None:
         _check_threshold(deselect_threshold)
-    prepared = []
-    for data, weights, seed in panels:
-        plan = build_fold_plan(data, cv_kind, n_folds, seed)
-        prepared.append((plan, *prepare(data, weights, spec, config, plan)))
+    planned = (
+        (data, weights, build_fold_plan(data, cv_kind, n_folds, seed))
+        for data, weights, seed in panels
+    )
+    prepared = _prepare_all(planned, spec, config)
     curves = _cv_curves([(td.response, td.design, plan) for plan, _, td in prepared], config)
     results = []
     for (plan, components, td), curve in zip(prepared, curves):

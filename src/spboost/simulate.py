@@ -316,15 +316,18 @@ def _reemit(caught) -> None:
 
 
 def _forked_rows(fit_rows, replications: range, workers: int) -> list:
-    """``fit_rows`` of ``replications``, from strided chunks of them that
-    forked workers take as they free up.  Four chunks per worker even out
-    loads that strided halves do not (one took 0.81 s, the other 0.53 s),
-    and chunks of three replications still fill a lockstep CV batch.  Only
-    indices and rows are pickled: ``fit_rows`` reaches the workers by fork."""
+    """``fit_rows`` of ``replications``, one strided chunk of them per forked
+    worker.  A chunk's moment systems and CV folds are solved in lockstep,
+    which pays more the more replications it holds: for 20 replications at
+    the default sizes with rho = (0.4, -0.4) on a 2-vCPU x86_64 host, 1, 2
+    and 4 chunks per worker took a median 0.80, 0.89 and 0.99 s at seed 0
+    and 0.76, 0.79 and 0.85 s at seed 20261017, so the loads that one chunk
+    per worker leaves uneven cost less than smaller lockstep groups do.
+    Only indices and rows are pickled: ``fit_rows`` reaches the workers by
+    fork."""
     import multiprocessing
 
-    n_chunks = min(4 * workers, len(replications))
-    chunks = [replications[c::n_chunks] for c in range(n_chunks)]
+    chunks = [replications[c::workers] for c in range(workers)]
     rows = {}
     with multiprocessing.get_context("fork").Pool(workers, _bind_worker, (fit_rows,)) as pool:
         for chunk, (chunk_rows, caught) in zip(chunks, pool.imap(_fit_chunk, chunks)):
@@ -351,18 +354,22 @@ def run_experiment(
     empty or repeated method list, and candidates that are all informative
     or all noise, which leave a selection rate undefined.
 
-    The replications are fitted by one ``pipeline._fit_all`` call: all are
-    generated and prepared first, then the cross-validation folds of all of
-    them are boosted together, then each final fit is made.  Every fit
-    equals ``fit_model`` on its replication bit for bit; only the order of
-    warnings across replications differs from a loop of ``fit_model``.
+    The replications are fitted by one ``pipeline._fit_all`` call, in its
+    stages: all are generated and their moment systems built, the free
+    systems of all of them are solved in one lockstep, each is whitened,
+    the cross-validation folds of all of them are boosted together, then
+    each final fit is made.  Every fit equals ``fit_model`` on its
+    replication bit for bit; only the order of warnings and errors differs
+    from a loop of ``fit_model``: stage by stage, each stage in replication
+    order, and an error is raised where its stage reaches it.
 
     ``workers`` > 1 forks that many processes, at most one per replication
-    and processor (none without ``os.sched_getaffinity``), each fitting
-    chunks of replications by one ``_fit_all`` call; the metrics keep
-    their bits.  Warnings keep their text and count but come chunk by
-    chunk, in chunk order, as each chunk's ``_fit_all`` raised them; the
-    first failing chunk in that order raises its error here.
+    and processor (none without ``os.sched_getaffinity``), each fitting one
+    strided chunk of the replications by one ``_fit_all`` call; the
+    metrics keep their bits.  Warnings keep their text and count but come
+    chunk by chunk, in chunk order, each chunk's in the stage order of its
+    ``_fit_all``; the first failing chunk in that order raises its error
+    here.
     """
     methods = tuple(methods)
     unknown = [s for s in methods if s not in METHODS]

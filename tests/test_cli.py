@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
+import spboost.gmm
 import spboost.pipeline
 import spboost.simulate
 from spboost import __version__
@@ -201,6 +202,26 @@ def test_fit_estimation_failure_exit_code(tmp_path, capsys):
         code = main(args)
     assert code == 3
     assert "estimation failed" in capsys.readouterr().err
+
+
+def test_zero_idiosyncratic_variance_exits_3(panel_files, tmp_path, capsys, monkeypatch):
+    # an exact idiosyncratic system with a negative variance: its solution
+    # clamps at sigma^2 = 0, though the data are not degenerate
+    built = spboost.gmm.idiosyncratic_moment_system
+
+    def clamped(triple, weights, n_periods):
+        system = built(triple, weights, n_periods)
+        return dataclasses.replace(system, vector=system.matrix @ np.array([0.3, 0.09, -1.0]))
+
+    monkeypatch.setattr(spboost.gmm, "idiosyncratic_moment_system", clamped)
+    panel, centroids = panel_files
+    for argv in (fit_args(panel, centroids, tmp_path / "fit"), sim_args(tmp_path / "sim")):
+        with pytest.warns(UserWarning, match="negative variance estimate .* clamped to zero"):
+            assert main(argv) == 3
+        assert capsys.readouterr().err.startswith(
+            "spboost: estimation failed: estimated idiosyncratic variance is zero on "
+            "non-degenerate data (best candidate ("
+        )
 
 
 def test_fixed_effects_with_intercept_is_invalid(panel_files, tmp_path, capsys):
@@ -759,7 +780,7 @@ def test_worker_warning_from_a_file_no_module_has_is_shown(tmp_path, monkeypatch
         assert main([*WARNING_SIM, "--threads", "2", "--out-dir", str(tmp_path)]) == 0
     shown = [(w.filename, w.lineno) for w in record if str(w.message) == "from a generated file"]
     assert two_processors == [(range(4), 2)]
-    assert shown == [("generated.py", 7)] * 4  # one _fit_all call per chunk
+    assert shown == [("generated.py", 7)] * 2  # one _fit_all call per chunk, one chunk per worker
 
 
 def test_worker_estimation_error_exits_3(tmp_path, capsys, monkeypatch, two_processors):

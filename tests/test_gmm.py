@@ -7,13 +7,14 @@ import warnings
 import numpy as np
 import pytest
 
-from spboost.errors import ValidationError
+from spboost.errors import EstimationFailureError, ValidationError
 from spboost.gmm import (
     MULTI_STARTS,
     RHO_BOUND,
     MomentSystem,
     ResidualTriple,
     VarianceComponents,
+    _solve_free,
     estimate_variance_components,
     idiosyncratic_moment_system,
     initial_residuals,
@@ -405,6 +406,53 @@ def test_degenerate_zero_system_warns():
         solution = solve_moment_system(system)
     assert solution.rho == 0.0 and solution.sigma2 == 0.0
     assert solution.degenerate
+
+
+@pytest.mark.parametrize("fixed_rho", [2.0, -1.0, float("nan"), float("inf")])
+def test_fixed_rho_is_checked_before_the_degenerate_return(fixed_rho):
+    # the |rho| < 1 check holds for an all-zero system too, before its warning
+    w, _ = make_weights(4, seed=15, k=2)
+    system = idiosyncratic_moment_system(make_triple(np.zeros(8), w, 2), w, 2)
+    assert system.degenerate
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="fixed rho must satisfy"):
+            solve_moment_system(system, fixed_rho=fixed_rho)
+    with pytest.warns(UserWarning, match="identically zero"):
+        solution = solve_moment_system(system, fixed_rho=0.5)
+    assert (solution.rho, solution.sigma2, solution.degenerate) == (0.5, 0.0, True)
+
+
+@pytest.mark.parametrize("field", ["matrix", "vector"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_moment_system_refuses_non_finite_entries(field, value):
+    # an infinite sample moment would solve to sigma2=inf, objective=nan
+    base = seeded_system(seed=14)
+    entries = getattr(base, field).copy()
+    entries[0] = value  # the first row of the matrix, or the first moment
+    with pytest.raises(ValidationError, match="non-finite"):
+        dataclasses.replace(base, **{field: entries})
+
+
+def overflowing_system():
+    """Finite entries whose residual overflows at every start."""
+    matrix = np.array([[1e200, 1e200, 1.0], [1e200, -1e200, 0.5], [-1e200, 1e200, 0.0]])
+    vector = np.array([1e200, -1e200, 1e200])
+    return MomentSystem(matrix=matrix, vector=vector, target="idiosyncratic")
+
+
+def test_no_finite_start_is_refused_alone_and_among_others():
+    bad = overflowing_system()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
+        with pytest.raises(EstimationFailureError) as alone:
+            solve_moment_system(bad)
+        with pytest.raises(EstimationFailureError) as among:
+            _solve_free([seeded_system(seed=12), bad, seeded_system(seed=13)])
+    message = "no start produced a finite objective for the idiosyncratic moments"
+    assert str(alone.value).startswith(message)
+    assert (type(among.value), str(among.value)) == (type(alone.value), str(alone.value))
+    assert alone.value.candidate is None and np.isnan(alone.value.residual_norm)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import spboost.crossval
+import spboost.pipeline
 import spboost.simulate
 from spboost.boosting import BoostConfig
 from spboost.errors import AlignmentError, ValidationError
@@ -243,13 +244,26 @@ def test_single_replication_metrics_are_deterministic():
     assert a.per_replication == b.per_replication
 
 
-def test_run_experiment_is_bitwise_a_loop_of_fit_model(monkeypatch):
-    # the staged run boosts the folds of all replications in one lockstep
-    # batch; each fit must keep the bits it has when fitted alone
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ModelSpec(),
+        ModelSpec(family="ans"),
+        ModelSpec(family="kkp"),
+        ModelSpec(effects="fixed", include_intercept=False),
+    ],
+    ids=["gspecm", "ans", "kkp", "fixed"],
+)
+def test_run_experiment_is_bitwise_a_loop_of_fit_model(monkeypatch, spec):
+    # the staged run solves the moment systems of all replications in one
+    # lockstep and boosts their folds in one lockstep batch; each fit must
+    # keep the bits it has when fitted alone.  Only GSPECM leaves the
+    # location-effect rho free, so only it sends that system to the lockstep
     cfg = small_cfg(n_replications=3)
     config = BoostConfig(m_stop=150)
-    fits, batches = [], []
+    fits, batches, solves = [], [], []
     fit_all, lockstep = spboost.simulate._fit_all, spboost.crossval._lockstep_risks
+    solve_free = spboost.pipeline._solve_free
 
     def keep_fits(*args):
         fits.extend(fit_all(*args))
@@ -259,21 +273,29 @@ def test_run_experiment_is_bitwise_a_loop_of_fit_model(monkeypatch):
         batches.append(len(folds))
         return lockstep(folds, *args)
 
+    def keep_solve(systems):
+        solves.append([s.target for s in systems])
+        return solve_free(systems)
+
     monkeypatch.setattr(spboost.simulate, "_fit_all", keep_fits)
     monkeypatch.setattr(spboost.crossval, "_lockstep_risks", keep_batch)
+    monkeypatch.setattr(spboost.pipeline, "_solve_free", keep_solve)
     methods = ("fgls", "ltb", "des")
-    result = run_experiment(cfg, methods=methods, boost_config=config, n_folds=2)
+    result = run_experiment(cfg, methods=methods, spec=spec, boost_config=config, n_folds=2)
     assert batches == [3 * 2]
     assert len(fits) == 3
+    free = ["idiosyncratic", "location_effect"] if spec == ModelSpec() else ["idiosyncratic"]
+    assert solves == [free * 3]
 
     geometry = cfg.geometry()
     alone = []
     for r, staged in enumerate(fits):
         data, weights = generate_panel(cfg, r, geometry=geometry)
         fr = fit_model(
-            data, weights, ModelSpec(), config=config, n_folds=2, seed=cfg.fold_seed(r),
+            data, weights, spec, config=config, n_folds=2, seed=cfg.fold_seed(r),
             deselect_threshold=0.01, baseline=True,
         )
+        assert repr(staged.components) == repr(fr.components), r
         assert np.array_equal(staged.cv_curve, fr.cv_curve), r
         assert staged.m_opt == fr.m_opt
         for method in methods:
