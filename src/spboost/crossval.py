@@ -11,8 +11,10 @@ risk after every boosting iteration and averages it across folds (the
 fold-wise ``cvrisk`` of Hofner et al. 2014); its minimizer is the stopping
 iteration.  Small folds, of one fit or of all the replications of a
 simulation, are boosted side by side in lockstep batches of at most
-``CV_BATCH_ENTRIES`` stacked values; a fold too large to share a batch runs
-alone through the boosting kernel.  Both give each fold the kernel's bits.
+``CV_BATCH_ENTRIES`` stacked values, so that the folds of a simulation's
+replications usually share one batch; a fold with a wide design or a long
+held-out set (over ``CV_FOLD_ENTRIES`` values) runs alone through the
+boosting kernel.  Both give each fold the kernel's bits.
 """
 
 from __future__ import annotations
@@ -30,10 +32,18 @@ KMEANS_MAX_ITER = 100
 # restarts per batch are capped so that each (restarts, locations) work array
 # holds at most this many values (128 KiB); larger arrays ran slower
 KMEANS_BATCH_ENTRIES = 16_384
-# folds boosted in lockstep are batched so that their stacked Gram and
-# held-out caches and residual histories hold at most this many values
-# (1 MiB); a fold that would batch alone runs through the per-fold kernel
-CV_BATCH_ENTRIES = 131_072
+# a fold joins a lockstep batch only while its own Gram and held-out caches
+# and residual history (``_fold_entries``) hold at most this many values
+# (512 KiB): five folds of k = 41 took 0.48-0.88 of the per-fold kernel's
+# time up to 1,200 held-out rows (71,281 values), but 1.21 at 2,000 rows,
+# 1.15 at k = 321 and 3.2 at k = 801; a larger fold runs through the
+# per-fold kernel alone
+CV_FOLD_ENTRIES = 65_536
+# a batch's stacked state holds at most this many values (4 MiB), so that
+# the 50 folds of ten replications at the ``simulate`` defaults share one
+# batch: 0.044-0.046 s where batches of 1 MiB took 0.070-0.075 s, and 8 MiB
+# gained nothing more
+CV_BATCH_ENTRIES = 524_288
 # held-out residuals kept between two evaluations of their risks
 CV_HISTORY_STEPS = 16
 
@@ -260,43 +270,53 @@ def _lockstep_risks(folds: list, learning_rate: float, n_iterations: int) -> np.
       a leading fold axis (columns padded with a -inf penalty, held-out rows
       with zeros), with one ``argmax`` per row;
     * the held-out residuals of the last ``CV_HISTORY_STEPS`` iterations
-      are kept, and their risks are taken every so many steps as
-      ``np.matmul(seg[:, None, :], seg[:, :, None])`` over each fold's own
-      length, which reduces through the same dot as ``d @ d``.
+      are kept, and their risks are taken every so many steps by one
+      ``np.matmul(seg[..., None, :], seg[..., :, None])`` per held-out
+      length, over the folds of that length, which the lanes hold side by
+      side (ordered by length, stably); each item of it reduces a fold's
+      own residual through the same dot as ``d @ d``.
     """
     n_folds = len(folds)
     width = max(z.shape[1] for _, z, *_ in folds)
-    n_outs = [int(test.sum()) for *_, test, _ in folds]
+    lengths = [int(test.sum()) for *_, test, _ in folds]
+    # fold b runs in lane lanes[b]; the lanes hold the folds by length
+    lanes = np.argsort(np.argsort(lengths, kind="stable"))
+    n_outs = sorted(lengths)
     corr = np.zeros((n_folds, width))
     inv_norms2 = np.zeros((n_folds, width))
     penalty = np.full((n_folds, width), -np.inf)
-    # row ``b * width + j``: fold b's Gram column j, and its held-out values
-    gram = np.zeros((n_folds * width, width))
-    heldout = np.zeros((n_folds * width, max(n_outs)))
-    history = np.zeros((CV_HISTORY_STEPS + 1, n_folds, max(n_outs)))
+    # row ``a * width + j``: lane a's Gram column j, then its held-out
+    # values, so that one gather fetches both
+    cache = np.zeros((n_folds * width, width + n_outs[-1]))
+    history = np.zeros((CV_HISTORY_STEPS + 1, n_folds, n_outs[-1]))
+    # in fold order, which the screen's warnings and errors keep
     for b, (y, z, train, test, warn_label) in enumerate(folds):
+        a = lanes[b]
         zt = z[train]
         k = zt.shape[1]
-        inv_norms2[b, :k], selectable, _ = _screen_columns(zt, None, warn_label)
-        penalty[b, :k][selectable] = 0.0
-        corr[b, :k] = zt.T @ y[train]
+        inv_norms2[a, :k], selectable, _ = _screen_columns(zt, None, warn_label)
+        penalty[a, :k][selectable] = 0.0
+        corr[a, :k] = zt.T @ y[train]
         for j in range(k):
-            gram[b * width + j, :k] = zt.T @ zt[:, j]
-        heldout[b * width : b * width + k, : n_outs[b]] = z[test].T
-        history[0, b, : n_outs[b]] = y[test]
+            cache[a * width + j, :k] = zt.T @ zt[:, j]
+        cache[a * width : a * width + k, width : width + n_outs[a]] = z[test].T
+        history[0, a, : n_outs[a]] = y[test]
 
     offsets = np.arange(n_folds) * width
     scores = np.empty((n_folds, width))
     risk = np.empty((n_folds, n_iterations + 1))
+    # the lanes of each held-out length, whose risks one matmul takes
+    starts = [a for a in range(n_folds) if a == 0 or n_outs[a] != n_outs[a - 1]]
+    groups = [(n_outs[a], slice(a, e)) for a, e in zip(starts, starts[1:] + [n_folds])]
     # history[s] holds the residuals after ``done + s`` iterations; the risks
     # of rows ``first`` to ``s`` are still to be taken
     done = first = s = 0
 
     def flush():
-        for b, n in enumerate(n_outs):
-            seg = history[first : s + 1, b, :n]
-            dots = np.matmul(seg[:, None, :], seg[:, :, None])
-            risk[b, done + first : done + s + 1] = dots.ravel() / n
+        for n, group in groups:
+            seg = history[first : s + 1, group, :n]
+            dots = np.matmul(seg[..., None, :], seg[..., :, None])
+            risk[group, done + first : done + s + 1] = dots[..., 0, 0].T / n
 
     for _ in range(n_iterations):
         np.multiply(corr, corr, out=scores)
@@ -308,19 +328,17 @@ def _lockstep_risks(folds: list, learning_rate: float, n_iterations: int) -> np.
         step *= learning_rate
         step *= inv_norms2.take(index)
         step = step[:, None]
-        gram_rows = gram[index]
-        gram_rows *= step
-        corr -= gram_rows
-        heldout_rows = heldout[index]
-        heldout_rows *= step
-        np.subtract(history[s], heldout_rows, out=history[s + 1])
+        rows = cache[index]
+        rows *= step
+        corr -= rows[:, :width]
+        np.subtract(history[s], rows[:, width:], out=history[s + 1])
         s += 1
         if s == CV_HISTORY_STEPS:
             flush()
             history[0] = history[s]
             done, first, s = done + s, 1, 0
     flush()
-    return risk
+    return risk[lanes]
 
 
 def _cv_curves(problems: list, config: BoostConfig) -> list:
@@ -329,10 +347,11 @@ def _cv_curves(problems: list, config: BoostConfig) -> list:
     The folds of all problems are taken in order and run in lockstep
     batches whose stacked state (``_fold_entries`` per fold, at the batch's
     widest design and longest held-out set) stays within
-    ``CV_BATCH_ENTRIES`` values.  A fold that would batch alone runs
-    through ``_gram_path`` by itself.  Either way each fold's risk path has
-    the per-fold kernel's bits, and each curve is the same ``np.mean`` over
-    its folds.
+    ``CV_BATCH_ENTRIES`` values.  A fold over ``CV_FOLD_ENTRIES`` values,
+    or one that would batch alone, runs through ``_gram_path`` by itself,
+    after the batch before it.  Either way each fold's risk path has the
+    per-fold kernel's bits, and each curve is the same ``np.mean`` over its
+    folds.
     """
     folds = []
     for p, (y, z, plan) in enumerate(problems):
@@ -374,13 +393,18 @@ def _cv_curves(problems: list, config: BoostConfig) -> list:
     for p, fold in folds:
         _, z, _, test, _ = fold
         k, n_out = z.shape[1], int(test.sum())
+        alone = _fold_entries(k, n_out) > CV_FOLD_ENTRIES
         entries = _fold_entries(max(width, k), max(depth, n_out))
-        if batch and (len(batch) + 1) * entries > CV_BATCH_ENTRIES:
+        if batch and (alone or (len(batch) + 1) * entries > CV_BATCH_ENTRIES):
             run(batch)
             batch, width, depth = [], 0, 0
+        if alone:
+            run([(p, fold)])
+            continue
         batch.append((p, fold))
         width, depth = max(width, k), max(depth, n_out)
-    run(batch)
+    if batch:
+        run(batch)
     return curves
 
 
@@ -402,11 +426,11 @@ def boost_cv_curve(
     as the held-out pair, so the curve is the held-out risk of the very
     selection path and steps that ``boost`` would take on those training
     rows.  The folds run in lockstep, stacked along a leading fold axis,
-    when their Gram and held-out caches fit together within
-    ``CV_BATCH_ENTRIES`` values (small designs, as in the simulations);
-    otherwise each runs alone through the kernel.  The lockstep keeps every
-    arithmetic operation of the kernel, so the curve has the same bits
-    either way.
+    when each fold's Gram and held-out caches hold at most
+    ``CV_FOLD_ENTRIES`` values (small designs and held-out sets, as in the
+    simulations); otherwise each runs alone through the kernel, which is
+    faster there.  The lockstep keeps every arithmetic operation of the
+    kernel, so the curve has the same bits either way.
     """
     return _cv_curves([(response, design, plan)], config)[0]
 

@@ -9,7 +9,7 @@ import pytest
 from scipy.cluster.vq import ClusterError, kmeans2
 
 import spboost.crossval
-from spboost.boosting import BoostConfig, _direct_coefficients, _screen_columns, boost
+from spboost.boosting import BoostConfig, _direct_coefficients, _gram_path, _screen_columns, boost
 from spboost.crossval import (
     KMEANS_MAX_ITER,
     KMEANS_RESTARTS,
@@ -761,6 +761,116 @@ def test_a_fold_over_the_entry_cap_runs_alone_through_the_kernel(monkeypatch):
     # held one of them, and the narrow problems still batched
     assert [a[1].shape[1] for a in alone].count(60) == 3
     assert batches and all(z.shape[1] < 60 for b in batches for _, z, *_ in b[0])
+    for (y, z, plan), curve in zip(problems, curves):
+        assert np.array_equal(curve, _reference_cv_curve(y, z, plan, cfg))
+
+
+def _kernel_risk(fold, cfg):
+    y, z, train, test, warn_label = fold
+    return _gram_path(
+        y[train], z[train], y[test], np.ascontiguousarray(z[test].T),
+        cfg.learning_rate, cfg.m_stop, warn_label=warn_label,
+    )[2]
+
+
+def test_lockstep_risks_grouped_by_held_out_length_are_bitwise_the_kernel():
+    # held-out lengths drawn with repeats, so that some lengths are shared by
+    # several folds and others belong to one fold alone; m_stop not a
+    # multiple of the history length, so the last flush is a partial one
+    shared = unique = 0
+    for seed in range(12):
+        rng = np.random.default_rng(400 + seed)
+        cfg = BoostConfig(learning_rate=float(rng.uniform(0.05, 0.5)), m_stop=int(rng.integers(20, 90)))
+        pool = rng.integers(3, 40, size=4)
+        folds = []
+        for b in range(int(rng.integers(2, 14))):
+            n_out = int(pool[rng.integers(0, 4)] if rng.uniform() < 0.6 else rng.integers(3, 40))
+            rows = n_out + int(rng.integers(10, 60))
+            y, z = _sparse_signal(rng, rows, int(rng.integers(4, 15)))
+            test = np.zeros(rows, dtype=bool)
+            test[rng.choice(rows, size=n_out, replace=False)] = True
+            folds.append((y, z, ~test, test, f"fold {b} training data"))
+        lengths = [int(f[3].sum()) for f in folds]
+        shared += sum(lengths.count(n) > 1 for n in lengths)
+        unique += sum(lengths.count(n) == 1 for n in lengths)
+        risks = spboost.crossval._lockstep_risks(folds, cfg.learning_rate, cfg.m_stop)
+        for b, fold in enumerate(folds):
+            assert np.array_equal(risks[b], _kernel_risk(fold, cfg)), (seed, b, lengths)
+    assert shared >= 20 and unique >= 20, (shared, unique)
+
+
+def test_lockstep_screens_its_folds_in_fold_order():
+    # the folds' held-out lengths fall (10, 4 and 1 locations), so the lanes
+    # run them in the reverse order; column f + 1 is nonzero on fold f's
+    # rows alone, so it is dead in fold f's training rows
+    n, t = 15, 2
+    labels = np.repeat([0, 1, 2], [10, 4, 1])
+    plan = FoldPlan(FoldKind.SPATIAL, 3, np.tile(labels, t), n, t)
+    rng = np.random.default_rng(9)
+    z = rng.normal(size=(n * t, 4))
+    for f in range(3):
+        z[plan.assignment != f, f + 1] = 0.0
+    y = z @ np.array([1.0, 2.0, -1.0, 0.5]) + 0.1 * rng.normal(size=n * t)
+    folds = [
+        (y, z, plan.assignment != f, plan.assignment == f, f"fold {f} training data")
+        for f in range(3)
+    ]
+    cfg = BoostConfig(m_stop=40)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        risks = spboost.crossval._lockstep_risks(folds, cfg.learning_rate, cfg.m_stop)
+    assert [str(w.message) for w in caught] == [
+        "excluding 1 identically zero column(s) from boosting "
+        f"(fold {f} training data): indices [{f + 1}]"
+        for f in range(3)
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for f, fold in enumerate(folds):
+            assert np.array_equal(risks[f], _kernel_risk(fold, cfg)), f
+
+
+def _simulation_shaped_problems(rng, n_problems):
+    """Problems shaped as ``simulate``'s defaults: n = 100, t = 5, 41 columns,
+    five folds of 18 to 22 locations (90 to 110 held-out rows)."""
+    n, t, k = 100, 5, 41
+    labels = np.repeat(np.arange(5), [19, 18, 21, 22, 20])
+    problems = []
+    for _ in range(n_problems):
+        y, z = _sparse_signal(rng, n * t, k)
+        plan = FoldPlan(FoldKind.SPATIAL, 5, np.tile(rng.permutation(labels), t), n, t)
+        problems.append((y, z, plan))
+    return problems
+
+
+def test_the_folds_of_ten_simulated_replications_share_one_batch(monkeypatch):
+    problems = _simulation_shaped_problems(np.random.default_rng(17), 10)
+    cfg = BoostConfig(m_stop=60)
+    batches = _spy(monkeypatch, "_lockstep_risks")
+    alone = _spy(monkeypatch, "_gram_path")
+    curves = spboost.crossval._cv_curves(problems, cfg)
+    assert [len(b[0]) for b in batches] == [50] and alone == []
+    for (y, z, plan), curve in zip(problems, curves):
+        assert np.array_equal(curve, _reference_cv_curve(y, z, plan, cfg))
+
+
+@pytest.mark.parametrize(
+    "n, t, k", [(2000, 5, 41), (100, 5, 801)], ids=["2000 held-out rows", "801 columns"]
+)
+def test_a_long_or_wide_fold_runs_alone_through_the_kernel(monkeypatch, n, t, k):
+    rng = np.random.default_rng(k)
+    small = _simulation_shaped_problems(rng, 2)
+    large = _sparse_signal(rng, n * t, k) + (random_fold_plan(rng, n, t, 5),)
+    assert spboost.crossval._fold_entries(k, n * t // 5) > spboost.crossval.CV_FOLD_ENTRIES
+    cfg = BoostConfig(m_stop=20)
+    batches = _spy(monkeypatch, "_lockstep_risks")
+    alone = _spy(monkeypatch, "_gram_path")
+    problems = [small[0], large, small[1]]
+    curves = spboost.crossval._cv_curves(problems, cfg)
+    # the large problem's folds ran one at a time, in order between the
+    # batches of the small problems before and after it
+    assert [a[1].shape[1] for a in alone] == [k] * 5
+    assert [len(b[0]) for b in batches] == [5, 5]
     for (y, z, plan), curve in zip(problems, curves):
         assert np.array_equal(curve, _reference_cv_curve(y, z, plan, cfg))
 

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+import spboost.panel
 from spboost.errors import (
     AlignmentError,
     FixedEffectsInfeasibleError,
@@ -208,6 +209,70 @@ def test_spatial_lag_permutes_indicator():
     w = SpatialWeights(np.array([[0.0, 1.0], [1.0, 0.0]]))
     ind = np.array([[1.0], [0.0]])
     assert np.allclose(spatial_lag(ind, w, 1), [[0.0], [1.0]])
+
+
+def _ragged_sparse_weights(rng, n):
+    """Random weights with 0 to n/10 neighbours a row, some rows normalized."""
+    w = np.zeros((n, n))
+    for i in range(n):
+        others = np.delete(np.arange(n), i)
+        size = int(rng.integers(0, n // 10 + 1))
+        w[i, rng.choice(others, size=size, replace=False)] = rng.uniform(0.01, 1.0, size=size)
+    if rng.uniform() < 0.5:
+        sums = w.sum(axis=1, keepdims=True)
+        w = np.divide(w, sums, out=np.zeros_like(w), where=sums > 0)
+    return w
+
+
+def test_spatial_lag_is_bitwise_the_einsum_on_ragged_sparse_weights():
+    lagged = 0
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        n, t, p = int(rng.integers(10, 400)), int(rng.integers(1, 6)), int(rng.integers(1, 25))
+        w = _ragged_sparse_weights(rng, n)
+        # columns on scales from 1e-3 to 1e3, signs mixed
+        x = rng.normal(size=(n * t, p)) * 10.0 ** rng.uniform(-3, 3, size=p)
+        reference = np.einsum("ij,tjk->tik", w, x.reshape(t, n, p)).reshape(n * t, p)
+        got = spatial_lag(x, SpatialWeights(w), t)
+        assert np.array_equal(got.view(np.int64), reference.view(np.int64)), seed
+        lagged += p > 1 and spboost.panel._neighbour_table(w) is not None
+    assert lagged >= 40
+
+
+def test_spatial_lag_neighbour_table_lists_ascending_nonzero_columns():
+    w = np.array(
+        [[0.0, 0.0, 0.5, 0.5] + [0.0] * 16, [0.3] + [0.0] * 18 + [0.7]]
+        + [[0.0] * 20] * 18
+    )
+    columns, coefs = spboost.panel._neighbour_table(w)
+    assert columns[:, :2].tolist() == [[2, 0], [3, 19]]
+    assert coefs[:, :2].tolist() == [[0.5, 0.3], [0.5, 0.7]]
+    assert not coefs[:, 2:].any()
+    # a row with more than n/10 neighbours leaves the einsum in charge
+    w[5, 1:4] = 1.0
+    assert spboost.panel._neighbour_table(w) is None
+
+
+def test_spatial_lag_keeps_the_einsum_for_one_column_and_dense_weights(monkeypatch):
+    rng = np.random.default_rng(4)
+    n, t = 60, 3
+    sparse = SpatialWeights(_ragged_sparse_weights(rng, n))
+    dense = SpatialWeights(rng.uniform(size=(n, n)) * (1 - np.eye(n)))
+    calls = []
+    real = np.einsum
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    one = rng.normal(size=(n * t, 1))
+    for w, x in ((sparse, one), (dense, rng.normal(size=(n * t, 4)))):
+        expected = real("ij,tjk->tik", w.matrix, x.reshape(t, n, -1)).reshape(x.shape)
+        assert np.array_equal(spatial_lag(x, w, t), expected)
+    assert calls == ["ij,tjk->tik"] * 2
+    spatial_lag(rng.normal(size=(n * t, 3)), sparse, t)
+    assert len(calls) == 2
 
 
 def test_spatial_lag_rejects_wrong_row_count():

@@ -1,5 +1,8 @@
 """Data generating process, selection metrics, and the experiment runner."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -401,3 +404,34 @@ def test_run_experiment_refuses_fewer_than_one_worker(monkeypatch, workers):
     monkeypatch.setattr(spboost.simulate, "_fit_all", no_work)
     with pytest.raises(ValidationError, match=f"workers must be at least 1, got {workers}"):
         run_experiment(small_cfg(), workers=workers)
+
+
+PRELOAD_SCRIPT = """
+import sys
+import multiprocessing.context
+import spboost.simulate
+
+def linalg_loaded():
+    return any(m.startswith("scipy.linalg") for m in sys.modules)
+
+at_fork = []
+real = multiprocessing.context.ForkContext.Pool
+
+def pool(self, *args, **kwargs):
+    at_fork.append(linalg_loaded())
+    return real(self, *args, **kwargs)
+
+multiprocessing.context.ForkContext.Pool = pool
+print(linalg_loaded())
+print(spboost.simulate._forked_rows(lambda chunk: [2 * r for r in chunk], range(5), 2))
+print(at_fork)
+"""
+
+
+def test_forked_rows_load_scipy_linalg_before_forking():
+    # the workers draw their panels through scipy.linalg; loaded in the
+    # parent, every later call's workers inherit it instead of importing it
+    out = subprocess.run(
+        [sys.executable, "-c", PRELOAD_SCRIPT], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split("\n")[:3] == ["False", "[0, 2, 4, 6, 8]", "[True]"]

@@ -19,8 +19,13 @@ from spboost.weights import (
 
 
 def test_rows_sum_to_one_when_normalized():
-    w = SpatialWeights(np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [0.3, 0.7, 0.0]]))
-    assert np.allclose(w.matrix.sum(axis=1), 1.0, atol=1e-12)
+    # k-nearest-neighbour weights come row-normalized: k weights of 1/k a row
+    pts = np.random.default_rng(8).uniform(size=(30, 2))
+    for k in (1, 3, 7, 29):
+        m = build_knn_weights(pts, k).matrix
+        assert np.allclose(m.sum(axis=1), 1.0, atol=1e-12), k
+        assert np.array_equal(np.count_nonzero(m, axis=1), np.full(30, k)), k
+        assert np.all(m[m != 0] == 1.0 / k), k
 
 
 def test_nonzero_diagonal_rejected():
