@@ -9,7 +9,7 @@ empirical risk ||y - eta||^2 / n is recorded after every iteration.
 
 One kernel, ``_gram_path``, runs the final fit (``boost``) and the
 deselection refit.  It updates the correlations through cached Gram
-columns, in O(k) per iteration, and tracks the residual of a held-out
+columns, in O(k) per iteration, then replays the path on a held-out
 response, which for ``boost`` is the training response itself.  The folds
 of a cross-validation curve run the same arithmetic: through this kernel
 one at a time when a fold is large, and otherwise stacked with other folds
@@ -134,44 +134,43 @@ def _gram_path(
     ``warn_label`` and flagged in ``dead``.
 
     The correlations follow ``Z'(r - s z_j) = Z'r - s Z'z_j``, with the Gram
-    column ``Z'z_j`` computed when column j is first selected, so an
-    iteration costs O(k + n_out), plus O(n k) once per distinct column.  The
-    loop allocates nothing: the scores carry an additive penalty, 0 for a
-    selectable column and -inf otherwise, and every update is written into a
-    preallocated buffer.
+    column ``Z'z_j`` computed when column j is first selected, and the
+    held-out residual then replays the path through views of its columns:
+    O(k + n_out) an iteration plus O(n k) a distinct column, whose Gram
+    column is all a call keeps of it, also in ``boost``, where n_out = n.
+    Scores carry a penalty, 0 for a selectable column and -inf otherwise.
+    The outputs are allocated before the cache, not among its freed rows.
     """
     z = np.asarray(design, dtype=float)
-    k = z.shape[1]
     inv_norms2, selectable, dead = _screen_columns(z, active, warn_label)
     penalty = np.where(selectable, 0.0, -np.inf)
 
     corr = z.T @ np.asarray(response, dtype=float)
-    # column j's Gram column Z'z_j and held-out values, once it is selected
-    columns: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    grams: dict[int, np.ndarray] = {}  # column j's Gram column, once selected
     d_out = np.array(heldout_response, dtype=float)
-    n_out = d_out.shape[0]
-    scores = np.empty(k)
-    corr_step = np.empty(k)
-    out_step = np.empty(n_out)
+    scores = np.empty_like(corr)
+    corr_step = np.empty_like(corr)
+    out_step = np.empty_like(d_out)
     selection = np.empty(n_iterations, dtype=np.int64)
     steps = np.empty(n_iterations)
     risk_out = np.empty(n_iterations + 1)
-    risk_out[0] = (d_out @ d_out) / n_out
     for m in range(n_iterations):
         np.multiply(corr, corr, out=scores)
         np.multiply(scores, inv_norms2, out=scores)
         np.add(scores, penalty, out=scores)
         j = int(scores.argmax())
         step = learning_rate * corr.item(j) * inv_norms2.item(j)
-        cached = columns.get(j)
-        if cached is None:
-            cached = columns[j] = (z.T @ z[:, j], heldout_columns[j])
-        gram_j, heldout_j = cached
-        np.subtract(corr, np.multiply(gram_j, step, out=corr_step), out=corr)
-        np.subtract(d_out, np.multiply(heldout_j, step, out=out_step), out=d_out)
+        gram = grams.get(j)
+        if gram is None:
+            gram = grams[j] = z.T @ z[:, j]
+        corr -= np.multiply(gram, step, out=corr_step)
         selection[m] = j
         steps[m] = step
-        risk_out[m + 1] = (d_out @ d_out) / n_out
+    risk_out[0] = d_out @ d_out
+    for m, (j, step) in enumerate(zip(selection.tolist(), steps.tolist()), 1):
+        d_out -= np.multiply(heldout_columns[j], step, out=out_step)
+        risk_out[m] = d_out @ d_out
+    risk_out /= len(d_out)
     return selection, steps, risk_out, dead
 
 

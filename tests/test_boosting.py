@@ -1,5 +1,6 @@
 """Componentwise boosting, deselection, and the least-squares baseline."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -399,3 +400,23 @@ def test_fgls_unavailable_when_rank_deficient():
     td = make_td(rng.normal(size=20), z)
     with pytest.raises(RankError):
         fgls_baseline(td)
+
+
+def test_boost_peak_memory_stays_near_the_gram_columns():
+    # boost() passes its training rows as the held-out pair, so a cached
+    # copy of each selected column's held-out values would cost n values a
+    # column, up to a second copy of the design; the kernel keeps k values
+    # (its Gram column) per distinct selected column, a copy of the
+    # response and a few k- and n-length buffers, plus its paths (24 bytes
+    # an iteration).
+    n, k, m_stop = 4000, 120, 1000
+    td = random_td(n, k, seed=9)
+    tracemalloc.start()
+    try:
+        fit = boost(td, BoostConfig(m_stop=m_stop))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    distinct = len(np.unique(fit.selection_path))
+    assert distinct > 80
+    assert peak < (distinct + 32) * k * 8 + 4 * n * 8 + 64 * m_stop

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,7 +10,14 @@ import pytest
 from scipy.cluster.vq import ClusterError, kmeans2
 
 import spboost.crossval
-from spboost.boosting import BoostConfig, _direct_coefficients, _gram_path, _screen_columns, boost
+from spboost.boosting import (
+    BoostConfig,
+    _direct_coefficients,
+    _gram_path,
+    _screen_columns,
+    boost,
+    deselect,
+)
 from spboost.crossval import (
     KMEANS_MAX_ITER,
     KMEANS_RESTARTS,
@@ -574,22 +582,26 @@ def test_direct_coefficients_are_bitwise_the_direct_reference_over_seeds():
 
 
 def _reference_cv_risk_path(
-    response, design, heldout_response, heldout_design, learning_rate, n_iterations, warn_label
+    response, design, heldout_response, heldout_design, learning_rate, n_iterations, warn_label,
+    active=None,
 ):
     """The per-fold kernel before its loop was made allocation-free.
 
     Takes the held-out design untransposed and allocates its scores and
     updates every iteration; the kernel in ``boosting`` must match it bit
-    for bit.
+    for bit.  ``active`` masks the selectable columns as the kernel's does.
+    Returns (selection, steps, heldout_risk).
     """
     z = np.asarray(design, dtype=float)
     k = z.shape[1]
-    inv_norms2, selectable, _ = _screen_columns(z, None, warn_label)
+    inv_norms2, selectable, _ = _screen_columns(z, active, warn_label)
     neg_inf = np.full(k, -np.inf)
 
     corr = z.T @ np.asarray(response, dtype=float)
     gram = {}
     d_out = np.array(heldout_response, dtype=float)
+    selection = np.empty(n_iterations, dtype=np.int64)
+    steps = np.empty(n_iterations)
     risk_out = np.empty(n_iterations + 1)
     risk_out[0] = (d_out @ d_out) / d_out.shape[0]
     for m in range(n_iterations):
@@ -600,8 +612,10 @@ def _reference_cv_risk_path(
             gram[j] = z.T @ z[:, j]
         corr -= step * gram[j]
         d_out -= step * heldout_design[:, j]
+        selection[m] = j
+        steps[m] = step
         risk_out[m + 1] = (d_out @ d_out) / d_out.shape[0]
-    return risk_out
+    return selection, steps, risk_out
 
 
 def _reference_cv_curve(y, z, plan, cfg):
@@ -613,7 +627,7 @@ def _reference_cv_curve(y, z, plan, cfg):
             _reference_cv_risk_path(
                 y[train], z[train], y[test], z[test], cfg.learning_rate, cfg.m_stop,
                 warn_label=f"fold {f} training data",
-            )
+            )[2]
         )
     return np.mean(fold_curves, axis=0)
 
@@ -670,6 +684,75 @@ def test_cv_curve_is_bitwise_the_reference_kernel_with_a_dead_column_in_one_fold
         curve = boost_cv_curve(y, z, plan, cfg)
         expected = _reference_cv_curve(y, z, plan, cfg)
     assert np.array_equal(curve, expected)
+
+
+def _assert_kernel_is_the_reference(y, z, y_out, z_out, learning_rate, n_iterations, active=None):
+    selection, steps, risk, _ = _gram_path(
+        y, z, y_out, np.ascontiguousarray(z_out.T), learning_rate, n_iterations, active=active
+    )
+    expected = _reference_cv_risk_path(
+        y, z, y_out, z_out, learning_rate, n_iterations, None, active=active
+    )
+    assert selection.dtype == np.int64 and steps.dtype == np.float64
+    for got, want in zip((selection, steps, risk), expected):
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_kernel_is_bitwise_the_reference_on_a_deselection_refit():
+    # the refit's active subset masks columns, so its scores carry the -inf
+    # penalty; boost() passes its training rows as the held-out pair
+    cfg = BoostConfig(m_stop=300)
+    for seed in range(10):
+        rng = np.random.default_rng(700 + seed)
+        y, z = _sparse_signal(rng, 60, 20)
+        td = make_td(y, z)
+        fit = boost(td, cfg)
+        result = deselect(td, cfg, fit, threshold=0.01)
+        active = np.isin(np.array(result.names), result.retained)
+        assert 0 < active.sum() < z.shape[1], seed
+        _assert_kernel_is_the_reference(y, z, y, z, cfg.learning_rate, fit.m_used, active)
+        # deselect() refits through boost(), which passes a strided view
+        expected = _reference_cv_risk_path(
+            y, z, y, z, cfg.learning_rate, fit.m_used, None, active=active
+        )
+        assert np.array_equal(result.refit.selection_path, expected[0]), seed
+        assert np.array_equal(result.refit.risk_path, expected[2]), seed
+
+
+def test_kernel_at_zero_iterations_is_bitwise_the_reference():
+    # an empty int64 selection, empty float64 steps and a one-entry risk
+    rng = np.random.default_rng(3)
+    y, z = _sparse_signal(rng, 40, 6)
+    _assert_kernel_is_the_reference(y[:30], z[:30], y[30:], z[30:], 0.1, 0)
+
+
+def test_kernel_is_bitwise_the_reference_on_an_integer_held_out_response():
+    rng = np.random.default_rng(5)
+    y, z = _sparse_signal(rng, 50, 8)
+    y_out = np.rint(4.0 * y[35:]).astype(np.int64)
+    _assert_kernel_is_the_reference(y[:35], z[:35], y_out, z[35:], 0.2, 150)
+
+
+def test_lone_fold_kernel_peak_memory():
+    # A lone fold keeps at most its held-out values and its Gram column
+    # Z'z_j for each distinct column it selects, plus one entry per
+    # iteration of its paths; a full Z'Z (4.9 MiB here) would be several
+    # times the bound.
+    # Measured and dropped: one Gram product per fold cut fit-wide from
+    # 0.61 to 0.49 s but raised its peak resident memory by 3.2-3.9 MB.
+    n_train, n_out, k, m_stop = 390, 100, 801, 1000
+    y, z = _sparse_signal(np.random.default_rng(4), n_train + n_out, k)
+    y_train, z_train, y_out = y[:n_train], z[:n_train], y[n_train:]
+    z_out = np.ascontiguousarray(z[n_train:].T)
+    tracemalloc.start()
+    try:
+        selection = _gram_path(y_train, z_train, y_out, z_out, 0.1, m_stop)[0]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    distinct = len(np.unique(selection))
+    assert distinct > 100
+    assert peak < (distinct + 32) * (k + n_out) * 8 + 200 * m_stop
 
 
 def _batch_problems():
