@@ -189,13 +189,13 @@ def _write_report(args, name: str, start: float, body: dict) -> None:
         "seed": args.seed,
         "parameters": {key: val for key, val in sorted(vars(args).items()) if key != "command"},
         **body,
-        "timing_seconds": time.time() - start,
+        "timing_seconds": time.perf_counter() - start,
     }
     write_json(os.path.join(args.out_dir, name), payload)
 
 
 def cmd_fit(args) -> int:
-    start = time.time()
+    start = time.perf_counter()
     data, weights, inputs, spec, config = _load_inputs(args)
     result = fit_model(
         data,
@@ -214,7 +214,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_cv(args) -> int:
-    start = time.time()
+    start = time.perf_counter()
     data, weights, inputs, spec, config = _load_inputs(args)
     plan = build_fold_plan(data, FoldKind(args.cv), args.folds, args.seed)
     _, td = prepare(data, weights, spec, config, plan)
@@ -234,7 +234,7 @@ def cmd_cv(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    start = time.time()
+    start = time.perf_counter()
     data, weights, inputs, spec, config = _load_inputs(args)
     # fit's fold plan, so that boosted preliminary residuals whiten alike;
     # built only on that route, since least-squares residuals need none
@@ -264,7 +264,7 @@ def cmd_transform(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    start = time.time()
+    start = time.perf_counter()
     methods = tuple(s.strip() for s in args.methods.split(",") if s.strip())
     cfg = DgpConfig(
         n_locations=args.n,

@@ -26,6 +26,7 @@ import numpy as np
 
 from .boosting import BoostConfig, _gram_path, _screen_columns
 from .errors import DegenerateGeometryError, ValidationError
+from .weights import _read_only
 
 KMEANS_RESTARTS = 50
 KMEANS_MAX_ITER = 100
@@ -71,7 +72,7 @@ class FoldPlan:
     n_periods: int
 
     def __post_init__(self):
-        a = np.asarray(self.assignment, dtype=np.int64)
+        a = _read_only(self.assignment, dtype=np.int64)
         n, t = self.n_locations, self.n_periods
         if a.shape != (n * t,):
             raise ValidationError(f"assignment has shape {a.shape}, expected ({n * t},)")
@@ -91,8 +92,6 @@ class FoldPlan:
                 )
             if self.n_folds != t:
                 raise ValidationError("leave-time-out uses one fold per period")
-        a = a.copy()
-        a.setflags(write=False)
         object.__setattr__(self, "assignment", a)
 
 

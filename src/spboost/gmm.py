@@ -32,7 +32,7 @@ from .crossval import FoldPlan, boost_cv_curve, choose_stopping_iteration, make_
 from .errors import EstimationFailureError, ValidationError
 from .linalg import ProjectorKind, TimeProjector
 from .panel import AugmentedDesign, Effects, Family, ModelSpec, PanelDataset, spatial_lag
-from .weights import SpatialWeights
+from .weights import SpatialWeights, _read_only
 
 RHO_BOUND = 0.999
 GRADIENT_TOL = 1e-10
@@ -44,7 +44,8 @@ OLS_DIMENSION_RATIO = 0.8
 
 @dataclass(frozen=True)
 class ResidualTriple:
-    """Preliminary residuals with their first and second spatial lags."""
+    """Preliminary residuals with their first and second spatial lags,
+    stored as C-ordered, read-only copies of the caller's vectors."""
 
     residuals: np.ndarray
     lagged: np.ndarray
@@ -52,7 +53,7 @@ class ResidualTriple:
 
     def __post_init__(self):
         for field_name in ("residuals", "lagged", "double_lagged"):
-            v = np.asarray(getattr(self, field_name), dtype=float)
+            v = _read_only(getattr(self, field_name))
             if v.ndim != 1 or v.shape != self.residuals.shape:
                 raise ValidationError("residual vectors must share one shape")
             if not np.all(np.isfinite(v)):
@@ -65,7 +66,9 @@ class MomentSystem:
     """Three moment conditions, linear in (rho, rho^2, sigma^2).
 
     The third column of ``matrix`` is structural: (1, trace_ratio, 0) with
-    ``trace_ratio = tr(W'W) / n``, which is read back from it.
+    ``trace_ratio = tr(W'W) / n``, which is read back from it.  Both arrays
+    are C-ordered, read-only copies, so the checks made here, ``degenerate``
+    and ``trace_ratio`` hold whatever the caller does to its arrays later.
     """
 
     matrix: np.ndarray
@@ -73,8 +76,8 @@ class MomentSystem:
     target: str  # 'idiosyncratic' or 'location_effect'
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        v = np.asarray(self.vector, dtype=float)
+        m = _read_only(self.matrix)
+        v = _read_only(self.vector)
         if m.shape != (3, 3) or v.shape != (3,):
             raise ValidationError("moment system must be 3x3 with a 3-vector")
         if not (np.all(np.isfinite(m)) and np.all(np.isfinite(v))):
@@ -264,34 +267,11 @@ def location_effect_moment_system(
     )
 
 
-def _closed_form_sigma(system: MomentSystem, rho):
-    """Least-squares sigma^2 at fixed rho, before the sigma^2 >= 0 clamp.
-
-    ``rho`` is a float, or an (N, 1) column for N values at once.
-    """
-    c = system.matrix[:, 2]
-    rhs = system.vector - system.matrix[:, 0] * rho - system.matrix[:, 1] * rho * rho
-    return (rhs @ c) / (c @ c)
-
-
-def _solve_sigma_given_rho(system: MomentSystem, rho: float) -> tuple[float, bool]:
-    """Closed-form sigma^2 with rho held fixed, clamped at zero with a warning."""
-    sigma2 = float(_closed_form_sigma(system, rho))
-    clamped = sigma2 < 0.0
-    if clamped:
-        warnings.warn(
-            f"negative variance estimate {sigma2:.6g} clamped to zero "
-            f"({system.target} moments)"
-        )
-        sigma2 = 0.0
-    return sigma2, clamped
-
-
 # Lanes.  Lane i of the helpers below is one (system, point) pair: mats[i]
 # and vecs[i] are its system's matrix and vector.  Each lane gets the
-# operations a lone system gets (``MomentSystem.residual``, a 1-D ``@``,
-# ``_closed_form_sigma``), through stacked calls that run the same BLAS or
-# LAPACK routine on each lane, so every lane has the bits it has alone.
+# operations a lone system gets (``MomentSystem.residual``, a 1-D ``@``)
+# through stacked calls that run the same BLAS or LAPACK routine on each
+# lane, so every lane has the bits it has alone; a lone system is one lane.
 # Python's ``max(x, c)`` is ``np.where(c > x, c, x)``, which keeps -0.0 and nan.
 
 
@@ -307,14 +287,35 @@ def _residuals(mats, vecs, rho, sigma2) -> np.ndarray:
     return (mats @ x)[:, :, 0] - vecs
 
 
+def _closed_form(mats, vecs, cc, rho) -> np.ndarray:
+    """The solver's one closed form: the least-squares sigma^2 of each lane at
+    ``rho[i]``, before the sigma^2 >= 0 clamp; ``cc`` is ``_dots(c, c)`` of
+    the sigma^2 column ``c = mats[:, :, 2]``."""
+    rhs = vecs - mats[:, :, 0] * rho[:, None] - mats[:, :, 1] * rho[:, None] * rho[:, None]
+    return _dots(rhs, mats[:, :, 2]) / cc
+
+
 def _profiled(mats, vecs, cc, rho) -> tuple[np.ndarray, np.ndarray]:
     """(sigma^2, objective) of each lane at ``rho[i]``, sigma^2 the
-    non-negative closed form; ``cc`` is ``_dots(c, c)`` of ``c = mats[:, :, 2]``."""
-    rhs = vecs - mats[:, :, 0] * rho[:, None] - mats[:, :, 1] * rho[:, None] * rho[:, None]
-    sigma2 = _dots(rhs, mats[:, :, 2]) / cc
+    non-negative closed form."""
+    sigma2 = _closed_form(mats, vecs, cc, rho)
     sigma2 = np.where(0.0 > sigma2, 0.0, sigma2)
     f = _residuals(mats, vecs, rho, sigma2)
     return sigma2, _dots(f, f)
+
+
+def _solve_sigma_given_rho(system: MomentSystem, rho: float) -> tuple[float, bool]:
+    """Closed-form sigma^2 with rho held fixed, clamped at zero with a warning."""
+    m, v = system.matrix[None], system.vector[None]
+    sigma2 = float(_closed_form(m, v, _dots(m[:, :, 2], m[:, :, 2]), np.array([rho]))[0])
+    clamped = sigma2 < 0.0
+    if clamped:
+        warnings.warn(
+            f"negative variance estimate {sigma2:.6g} clamped to zero "
+            f"({system.target} moments)"
+        )
+        sigma2 = 0.0
+    return sigma2, clamped
 
 
 def _jacobians(mats, rho) -> np.ndarray:
@@ -424,9 +425,11 @@ def _profiled_minima(systems: Sequence[MomentSystem]):
     cc = _dots(mats[:, :, 2], mats[:, :, 2])
     rhos = np.linspace(-RHO_BOUND, RHO_BOUND, 4001)
     scan = []
-    for system in systems:
-        sigmas = np.maximum(_closed_form_sigma(system, rhos[:, None]), 0.0)
-        resid = system.matrix @ np.vstack([rhos, rhos * rhos, sigmas]) - system.vector[:, None]
+    for m, v, c in zip(mats, vecs, cc):
+        # one lane over the grid; only the argmin of its gemm objective is used
+        lanes = np.broadcast_to(m, (rhos.size, 3, 3)), np.broadcast_to(v, (rhos.size, 3))
+        sigmas = np.maximum(_closed_form(*lanes, c, rhos), 0.0)
+        resid = m @ np.vstack([rhos, rhos * rhos, sigmas]) - v[:, None]
         scan.append(int(np.argmin(np.einsum("ij,ij->j", resid, resid))))
     i = np.array(scan)
     a = rhos[np.maximum(i - 1, 0)]

@@ -22,7 +22,7 @@ from .errors import (
     UnbalancedPanelError,
     ValidationError,
 )
-from .weights import SpatialWeights
+from .weights import SpatialWeights, _read_only
 
 INTERCEPT_NAME = "intercept"
 LAG_PREFIX = "W_"
@@ -84,8 +84,8 @@ class PanelDataset:
     centroids: np.ndarray | None = None
 
     def __post_init__(self):
-        y = np.asarray(self.response, dtype=float)
-        x = np.asarray(self.regressors, dtype=float)
+        y = _read_only(self.response)
+        x = _read_only(self.regressors)
         names = tuple(str(s) for s in self.regressor_names)
         locs = tuple(str(s) for s in self.location_ids)
         pers = tuple(str(s) for s in self.period_ids)
@@ -115,19 +115,13 @@ class PanelDataset:
             raise ValidationError("regressors contain non-finite entries")
         cent = self.centroids
         if cent is not None:
-            cent = np.asarray(cent, dtype=float)
+            cent = _read_only(cent)
             if cent.shape != (n, 2):
                 raise ValidationError(
                     f"centroids have shape {cent.shape}, expected ({n}, 2)"
                 )
             if not np.all(np.isfinite(cent)):
                 raise ValidationError("centroids contain non-finite coordinates")
-            cent = cent.copy()
-            cent.setflags(write=False)
-        y = y.copy()
-        x = x.copy()
-        y.setflags(write=False)
-        x.setflags(write=False)
         object.__setattr__(self, "response", y)
         object.__setattr__(self, "regressors", x)
         object.__setattr__(self, "regressor_names", names)
@@ -156,13 +150,11 @@ class AugmentedDesign:
     names: tuple[str, ...]
 
     def __post_init__(self):
-        cols = np.asarray(self.columns, dtype=float)
+        cols = _read_only(self.columns)
         if cols.ndim != 2:
             raise ValidationError("design must be a 2-d array")
         if len(self.names) != cols.shape[1]:
             raise AlignmentError("design names do not match the column count")
-        cols = cols.copy()
-        cols.setflags(write=False)
         object.__setattr__(self, "columns", cols)
         object.__setattr__(self, "names", tuple(self.names))
 
@@ -292,7 +284,9 @@ def read_panel_csv(path: str) -> PanelDataset:
 
     Each record's values go straight into one growing float array in file
     order, with the record's location and period indices beside them; one
-    index permutation then puts the records in stacked order.
+    index permutation then puts the records in stacked order.  Duplicates
+    are checked against the set of cells seen so far, so the first repeated
+    row is the one reported.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -310,7 +304,7 @@ def read_panel_csv(path: str) -> PanelDataset:
         per_of_row = array("q")
         loc_index: dict[str, int] = {}
         per_index: dict[str, int] = {}
-        seen = np.zeros((16, 16), dtype=bool)
+        seen: set[tuple[int, int]] = set()
         for rownum, rec in enumerate(reader, start=2):
             if len(rec) != len(header):
                 raise ParseError(
@@ -323,32 +317,29 @@ def read_panel_csv(path: str) -> PanelDataset:
                 raise ParseError(str(exc), row=rownum) from None
             li = loc_index.setdefault(loc, len(loc_index))
             pi = per_index.setdefault(per, len(per_index))
-            # labels are numbered in order, so a new one is at most one past the grid
-            if li == seen.shape[0]:
-                seen = np.vstack([seen, np.zeros_like(seen)])
-            if pi == seen.shape[1]:
-                seen = np.hstack([seen, np.zeros_like(seen)])
-            if seen[li, pi]:
+            if (li, pi) in seen:
                 raise UnbalancedPanelError(
                     f"duplicate observation for location {loc!r}, period {per!r} "
                     f"at row {rownum}"
                 )
-            seen[li, pi] = True
+            seen.add((li, pi))
             loc_of_row.append(li)
             per_of_row.append(pi)
 
     n, t = len(loc_index), len(per_index)
     if n == 0:
         raise ParseError("file contains a header but no data rows", row=2)
+    loc_of_row = np.frombuffer(loc_of_row, dtype=np.int64)
+    per_of_row = np.frombuffer(per_of_row, dtype=np.int64)
     if len(loc_of_row) != n * t:
-        pi, li = np.argwhere(~seen[:n, :t].T)[0]
+        observed = np.zeros((t, n), dtype=bool)
+        observed[per_of_row, loc_of_row] = True
+        pi, li = np.argwhere(~observed)[0]
         raise UnbalancedPanelError(
             f"missing observation for location {list(loc_index)[li]!r}, "
             f"period {list(per_index)[pi]!r}"
         )
-    stacked_row = np.frombuffer(loc_of_row, dtype=np.int64) + n * np.frombuffer(
-        per_of_row, dtype=np.int64
-    )
+    stacked_row = loc_of_row + n * per_of_row
     order = np.empty(n * t, dtype=np.intp)
     order[stacked_row] = np.arange(n * t)
     stacked = np.frombuffer(values).reshape(n * t, -1)[order]

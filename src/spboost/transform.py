@@ -18,6 +18,7 @@ import numpy as np
 from .errors import FixedEffectsInfeasibleError, ValidationError
 from .linalg import WhitenerMode, WhiteningOperator
 from .panel import AugmentedDesign, Effects, PanelDataset
+from .weights import _read_only
 
 
 @dataclass(frozen=True)
@@ -31,8 +32,8 @@ class TransformedData:
     fingerprint: str
 
     def __post_init__(self):
-        y = np.asarray(self.response, dtype=float)
-        z = np.asarray(self.design, dtype=float)
+        y = _read_only(self.response)
+        z = _read_only(self.design)
         if y.ndim != 1 or z.ndim != 2 or z.shape[0] != y.shape[0]:
             raise ValidationError(
                 f"response {y.shape} and design {z.shape} do not align"
@@ -41,10 +42,6 @@ class TransformedData:
             raise ValidationError("one name per design column is required")
         if not (np.all(np.isfinite(y)) and np.all(np.isfinite(z))):
             raise ValidationError("transformed data contains non-finite entries")
-        y = y.copy()
-        z = z.copy()
-        y.setflags(write=False)
-        z.setflags(write=False)
         object.__setattr__(self, "response", y)
         object.__setattr__(self, "design", z)
         object.__setattr__(self, "names", tuple(self.names))

@@ -29,6 +29,15 @@ from .errors import (
 DENSE_LIMIT = 4096
 
 
+def _read_only(value, dtype=float) -> np.ndarray:
+    """A C-ordered, read-only copy of ``value`` as ``dtype``: how every frozen
+    record stores its arrays, so it owns what it validated.  C order, as
+    ``ndarray.copy()`` gives, keeps later BLAS products rounding alike."""
+    out = np.array(value, dtype=dtype, order="C")
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True)
 class SpatialWeights:
     """Spatial weight matrix, stored as a read-only copy.
@@ -44,7 +53,7 @@ class SpatialWeights:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        m = _read_only(self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"weight matrix must be square, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
@@ -53,8 +62,6 @@ class SpatialWeights:
             raise ValidationError("weight matrix contains negative entries")
         if np.any(np.diag(m) != 0):
             raise ValidationError("weight matrix diagonal must be zero (no self-neighbours)")
-        m = m.copy()
-        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     @property

@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
+import spboost.cli
 import spboost.gmm
 import spboost.pipeline
 import spboost.simulate
@@ -836,6 +837,28 @@ def test_report_envelope_is_pinned(panel_files, tmp_path, command, report, body)
     del flags["command"]
     assert payload["parameters"] == flags
     assert payload["parameters"]["threads"] == 3
+
+
+@pytest.mark.parametrize(
+    "command, report",
+    [("fit", "report.json"), ("cv", "cv.json"), ("transform", "transform.json"),
+     ("simulate", "metrics.json")],
+)
+def test_timing_survives_a_wall_clock_step_back(
+    panel_files, tmp_path, monkeypatch, command, report
+):
+    # a wall clock stepped back (by NTP, say) between two readings must not
+    # make the elapsed time negative
+    readings = iter(range(10**9, 0, -3600))
+    monkeypatch.setattr(spboost.cli.time, "time", lambda: float(next(readings)))
+    panel, centroids = panel_files
+    out = tmp_path / command
+    if command == "simulate":
+        argv = sim_args(out)
+    else:
+        argv = [command, *fit_args(panel, centroids, out)[1:]]
+    assert main(argv) == 0
+    assert load_json(out / report)["timing_seconds"] >= 0.0
 
 
 # the blocks that serialize a record field by field: renaming or adding a

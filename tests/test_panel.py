@@ -1,6 +1,7 @@
 """Panel dataset construction, design augmentation, and CSV round-trips."""
 
 import csv
+import dataclasses
 import random
 
 import numpy as np
@@ -27,6 +28,7 @@ from spboost.panel import (
     spatial_lag,
     write_panel_csv,
 )
+from spboost.pipeline import standardize_regressors
 from spboost.weights import SpatialWeights, build_knn_weights
 
 from conftest import dense_lag, make_panel, make_weights
@@ -474,6 +476,17 @@ def test_read_panel_csv_empty_and_header_only(tmp_path):
         read_panel_csv(path)
 
 
+def test_standardize_leaves_a_constant_column_untouched():
+    data = small_panel(n=4, t=3)
+    x = data.regressors.copy()
+    x[:, 1] = 2.5
+    data = dataclasses.replace(data, regressors=x)
+    with pytest.warns(UserWarning, match=r"constant column\(s\) left unstandardized: \['x2'\]"):
+        scaled = standardize_regressors(data).regressors
+    assert scaled[:, 1].tobytes() == x[:, 1].tobytes()
+    assert abs(scaled[:, 0].mean()) < 1e-12 and abs(scaled[:, 0].std() - 1.0) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # The reader against the row-by-row reference
 
@@ -576,6 +589,30 @@ def test_reader_matches_reference_on_round_trip_and_shuffled_rows(tmp_path):
         shuffled.write_bytes(b"\n".join([header, *rows]) + b"\n")
         labels = assert_reads_like_reference(shuffled)[:2]
         assert sorted(labels[0]) == sorted(data.location_ids)
+
+
+def test_reader_matches_reference_beyond_sixteen_locations_and_periods(tmp_path):
+    # 19 locations by 18 periods with the rows shuffled, so new labels of
+    # both kinds keep arriving through the file
+    data = make_panel(19, 18, 2, seed=5, with_centroids=False)
+    path = tmp_path / "panel.csv"
+    write_panel_csv(path, data)
+    header, *rows = path.read_bytes().split(b"\r\n")[:-1]
+    random.Random(7).shuffle(rows)
+    variants = {
+        "shuffled": rows,
+        "duplicate": rows[:200] + [rows[150]] + rows[200:],
+        "missing": rows[:50] + rows[51:100] + rows[101:],
+    }
+    outcomes = {}
+    for name, lines in variants.items():
+        variant = tmp_path / f"{name}.csv"
+        variant.write_bytes(b"\n".join([header, *lines]) + b"\n")
+        outcomes[name] = assert_reads_like_reference(variant)
+    assert (len(outcomes["shuffled"][0]), len(outcomes["shuffled"][1])) == (19, 18)
+    assert outcomes["duplicate"][0] is UnbalancedPanelError
+    assert outcomes["duplicate"][1].endswith("at row 202")
+    assert outcomes["missing"][0] is UnbalancedPanelError
 
 
 HEADER = "location,period,y,x1\n"

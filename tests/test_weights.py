@@ -3,12 +3,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from spboost.crossval import FoldKind, FoldPlan
 from spboost.errors import (
     DegenerateGeometryError,
     IsolatedUnitError,
     ParseError,
     ValidationError,
 )
+from spboost.gmm import MomentSystem, ResidualTriple
+from spboost.panel import AugmentedDesign, Effects, PanelDataset
+from spboost.transform import TransformedData
 from spboost.weights import (
     SpatialWeights,
     build_knn_weights,
@@ -47,6 +51,68 @@ def test_matrix_is_read_only():
     w = SpatialWeights(np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(ValueError):
         w.matrix[0, 1] = 2.0
+
+
+def _frozen_records():
+    """Each frozen record, as (its caller arrays, a builder from them, the
+    names of its stored arrays); the weights come Fortran-ordered."""
+    rng = np.random.default_rng(21)
+    n, t = 3, 2
+    weights = np.asfortranarray([[0.0, 1.0, 0.5], [1.0, 0.0, 0.0], [0.5, 0.5, 0.0]])
+    moments = rng.normal(size=(3, 3))
+    moments[:, 2] = (1.0, 0.4, 0.0)
+    return {
+        "SpatialWeights": ([weights], SpatialWeights, ["matrix"]),
+        "PanelDataset": (
+            [rng.normal(size=n * t), rng.normal(size=(n * t, 2)), rng.normal(size=(n, 2))],
+            lambda y, x, c: PanelDataset(y, x, ("x1", "x2"), ("a", "b", "c"), ("1", "2"), c),
+            ["response", "regressors", "centroids"],
+        ),
+        "AugmentedDesign": (
+            [rng.normal(size=(n * t, 2))],
+            lambda z: AugmentedDesign(z, ("x1", "x2")),
+            ["columns"],
+        ),
+        "TransformedData": (
+            [rng.normal(size=n * t), rng.normal(size=(n * t, 2))],
+            lambda y, z: TransformedData(y, z, ("x1", "x2"), Effects.RANDOM, "f"),
+            ["response", "design"],
+        ),
+        "FoldPlan": (
+            [np.repeat(np.arange(t), n)],
+            lambda a: FoldPlan(FoldKind.TIME, t, a, n, t),
+            ["assignment"],
+        ),
+        "MomentSystem": (
+            [moments, rng.normal(size=3)],
+            lambda m, v: MomentSystem(m, v, "idiosyncratic"),
+            ["matrix", "vector"],
+        ),
+        "ResidualTriple": (
+            [rng.normal(size=n * t) for _ in range(3)],
+            ResidualTriple,
+            ["residuals", "lagged", "double_lagged"],
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(_frozen_records()))
+def test_frozen_records_own_read_only_c_ordered_copies(name):
+    arrays, build, fields = _frozen_records()[name]
+    record = build(*arrays)
+    stored = [getattr(record, field) for field in fields]
+    snapshot = [a.tobytes() for a in stored]
+    for caller in arrays:
+        caller[...] = 0
+    for field, array, before in zip(fields, stored, snapshot):
+        assert array.flags.c_contiguous and not array.flags.writeable, field
+        assert array.tobytes() == before, field
+        with pytest.raises(ValueError):
+            array[...] = 1
+    if name == "MomentSystem":
+        assert (record.degenerate, record.trace_ratio) == (False, 0.4)
+    if name == "FoldPlan":
+        assert record.assignment.dtype == np.int64
 
 
 def test_row_normalize_proportional_scaling():
@@ -152,6 +218,21 @@ def test_read_centroid_csv_bad_number_reports_row(tmp_path):
     assert err.value.row == 3
 
 
+def test_read_centroid_csv_field_count_reports_row(tmp_path):
+    path = tmp_path / "centroids.csv"
+    path.write_text("location,cx,cy\nA,0.0,0.0\nB,1.0\n")
+    with pytest.raises(ParseError, match="expected 3 fields, got 2") as err:
+        read_centroid_csv(path)
+    assert err.value.row == 3
+
+
+def test_read_centroid_csv_refuses_repeated_labels(tmp_path):
+    path = tmp_path / "centroids.csv"
+    path.write_text("location,cx,cy\nA,0.0,0.0\nB,1.0,0.0\n A ,0.0,1.0\n")
+    with pytest.raises(ValidationError, match="duplicate location labels"):
+        read_centroid_csv(path)
+
+
 @pytest.mark.parametrize(
     "text",
     ["location,cx,cy,name\nA,0.0,0.0\n", "location,cx,cy,name\nA,0.0,0.0,a\n"],
@@ -192,6 +273,23 @@ def test_read_neighbor_csv_self_loop_reports_row(tmp_path):
     path = tmp_path / "edges.csv"
     path.write_text("from,to,weight\nA,B,1.0\nB,B,1.0\n")
     with pytest.raises(ParseError) as err:
+        read_neighbor_csv(path, ("A", "B"))
+    assert err.value.row == 3
+
+
+@pytest.mark.parametrize(
+    "row, match",
+    [
+        ("A,B\n", "expected 3 fields, got 2"),
+        ("Z,B,1.0\n", "unknown location 'Z'"),
+        ("B,A,heavy\n", "could not convert string to float: 'heavy'"),
+    ],
+    ids=["field-count", "unknown-from", "non-numeric-weight"],
+)
+def test_read_neighbor_csv_refusals_report_their_row(tmp_path, row, match):
+    path = tmp_path / "edges.csv"
+    path.write_text("from,to,weight\nA,B,1.0\n" + row)
+    with pytest.raises(ParseError, match=match) as err:
         read_neighbor_csv(path, ("A", "B"))
     assert err.value.row == 3
 
