@@ -4,7 +4,8 @@ Four subcommands: ``fit`` estimates a model on a panel CSV, ``cv`` reports
 the cross-validated risk curve and stopping iteration, ``transform`` writes
 the whitened data, and ``simulate`` runs the Monte Carlo harness.  Exit
 codes: 0 success, 2 invalid inputs or options, 3 numerical estimation
-failure, 4 file I/O failure.
+failure, 4 file I/O failure.  Warnings show on stderr as
+``spboost: warning: <message>`` lines.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import functools
 import os
 import sys
 import time
+import warnings
 
 from . import __version__
 from .boosting import BoostConfig
@@ -308,6 +310,8 @@ def main(argv: list[str] | None = None) -> int:
         "transform": cmd_transform,
         "simulate": cmd_simulate,
     }
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"spboost: warning: {message}\n"
     try:
         if args.threads < 1:
             raise ValidationError(f"--threads must be at least 1, got {args.threads}")
@@ -321,6 +325,8 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"spboost: i/o error: {exc}", file=sys.stderr)
         return 4
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

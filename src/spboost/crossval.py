@@ -349,47 +349,34 @@ def _cv_curves(problems: list, config: BoostConfig) -> list:
     ``CV_BATCH_ENTRIES`` values.  A fold over ``CV_FOLD_ENTRIES`` values,
     or one that would batch alone, runs through ``_gram_path`` by itself,
     after the batch before it.  Either way each fold's risk path has the
-    per-fold kernel's bits, and each curve is the same ``np.mean`` over its
-    folds.
+    per-fold kernel's bits.  The paths are kept in fold order, and each
+    problem's curve is one ``np.mean`` over its own folds' paths, taken at
+    the end.
     """
     folds = []
-    for p, (y, z, plan) in enumerate(problems):
+    for y, z, plan in problems:
         y = np.asarray(y, dtype=float)
         z = np.asarray(z, dtype=float)
         if y.shape[0] != plan.assignment.shape[0] or z.shape[0] != y.shape[0]:
             raise ValidationError("data and fold plan have different numbers of rows")
         for f in range(plan.n_folds):
             train = plan.assignment != f
-            folds.append((p, (y, z, train, ~train, f"fold {f} training data")))
+            folds.append((y, z, train, ~train, f"fold {f} training data"))
 
-    curves = [None] * len(problems)
-    paths: list = [[] for _ in problems]  # fold risk paths until a curve is complete
+    paths: list = []  # each fold's risk path, in fold order
 
     def run(batch):
+        rate, m_stop = config.learning_rate, config.m_stop
         if len(batch) > 1:
-            risks = _lockstep_risks([fold for _, fold in batch], config.learning_rate, config.m_stop)
-        else:
-            y, z, train, test, warn_label = batch[0][1]
-            risks = [
-                _gram_path(
-                    y[train],
-                    z[train],
-                    y[test],
-                    np.ascontiguousarray(z[test].T),
-                    config.learning_rate,
-                    config.m_stop,
-                    warn_label=warn_label,
-                )[2]
-            ]
-        for (p, _), risk in zip(batch, risks):
-            paths[p].append(risk)
-            if len(paths[p]) == problems[p][2].n_folds:
-                curves[p] = np.mean(paths[p], axis=0)
-                paths[p] = None
+            paths.extend(_lockstep_risks(batch, rate, m_stop))
+            return
+        y, z, train, test, label = batch[0]
+        zt = np.ascontiguousarray(z[test].T)
+        paths.append(_gram_path(y[train], z[train], y[test], zt, rate, m_stop, warn_label=label)[2])
 
     batch: list = []
     width = depth = 0
-    for p, fold in folds:
+    for fold in folds:
         _, z, _, test, _ = fold
         k, n_out = z.shape[1], int(test.sum())
         alone = _fold_entries(k, n_out) > CV_FOLD_ENTRIES
@@ -398,13 +385,14 @@ def _cv_curves(problems: list, config: BoostConfig) -> list:
             run(batch)
             batch, width, depth = [], 0, 0
         if alone:
-            run([(p, fold)])
+            run([fold])
             continue
-        batch.append((p, fold))
+        batch.append(fold)
         width, depth = max(width, k), max(depth, n_out)
     if batch:
         run(batch)
-    return curves
+    ends = np.cumsum([plan.n_folds for *_, plan in problems])
+    return [np.mean(paths[e - plan.n_folds : e], axis=0) for e, (*_, plan) in zip(ends, problems)]
 
 
 def boost_cv_curve(

@@ -280,6 +280,13 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
+def _lanes(systems: Sequence[MomentSystem]):
+    """One lane per system: (mats, vecs, cc), with ``cc`` as ``_closed_form`` takes it."""
+    mats = np.stack([s.matrix for s in systems])
+    vecs = np.stack([s.vector for s in systems])
+    return mats, vecs, _dots(mats[:, :, 2], mats[:, :, 2])
+
+
 def _residuals(mats, vecs, rho, sigma2) -> np.ndarray:
     """``MomentSystem.residual(rho[i], sigma2[i])`` of each lane, as (L, 3)."""
     x = np.empty((rho.size, 3, 1))
@@ -302,20 +309,6 @@ def _profiled(mats, vecs, cc, rho) -> tuple[np.ndarray, np.ndarray]:
     sigma2 = np.where(0.0 > sigma2, 0.0, sigma2)
     f = _residuals(mats, vecs, rho, sigma2)
     return sigma2, _dots(f, f)
-
-
-def _solve_sigma_given_rho(system: MomentSystem, rho: float) -> tuple[float, bool]:
-    """Closed-form sigma^2 with rho held fixed, clamped at zero with a warning."""
-    m, v = system.matrix[None], system.vector[None]
-    sigma2 = float(_closed_form(m, v, _dots(m[:, :, 2], m[:, :, 2]), np.array([rho]))[0])
-    clamped = sigma2 < 0.0
-    if clamped:
-        warnings.warn(
-            f"negative variance estimate {sigma2:.6g} clamped to zero "
-            f"({system.target} moments)"
-        )
-        sigma2 = 0.0
-    return sigma2, clamped
 
 
 def _jacobians(mats, rho) -> np.ndarray:
@@ -420,9 +413,7 @@ def _profiled_minima(systems: Sequence[MomentSystem]):
     iteration can, so it guards the multi-start solver against a poor basin
     or a run stalled against a clamp.  Returns (rho, sigma2, objective).
     """
-    mats = np.stack([s.matrix for s in systems])
-    vecs = np.stack([s.vector for s in systems])
-    cc = _dots(mats[:, :, 2], mats[:, :, 2])
+    mats, vecs, cc = _lanes(systems)
     rhos = np.linspace(-RHO_BOUND, RHO_BOUND, 4001)
     scan = []
     for m, v, c in zip(mats, vecs, cc):
@@ -471,6 +462,26 @@ def _degenerate_solution(system: MomentSystem, rho: float) -> MomentSolution:
     )
 
 
+def _solution(system: MomentSystem, rho, sigma2, objective, rho_at_boundary) -> MomentSolution:
+    """The solution of a non-degenerate system at the point the solver chose.
+
+    A zero sigma^2 is a clamp, flagged and warned about, when ``_closed_form``
+    at ``rho`` on the system's own lane is negative.
+    """
+    raw = float(_closed_form(*_lanes([system]), np.array([rho]))[0]) if sigma2 == 0.0 else 0.0
+    if raw < 0.0:
+        warnings.warn(
+            f"negative variance estimate {raw:.6g} clamped to zero ({system.target} moments)"
+        )
+    return MomentSolution(
+        rho=float(rho),
+        sigma2=float(sigma2),
+        objective=float(objective),
+        rho_at_boundary=bool(rho_at_boundary),
+        sigma_clamped=raw < 0.0,
+    )
+
+
 def _solve_free(systems: Sequence[MomentSystem]) -> list[MomentSolution]:
     """``solve_moment_system`` of each system, rho free, in one lockstep.
 
@@ -484,8 +495,7 @@ def _solve_free(systems: Sequence[MomentSystem]) -> list[MomentSolution]:
     picks, profiled = [], iter(())
     if live:
         n_starts = len(MULTI_STARTS)
-        mats = np.repeat(np.stack([s.matrix for s in live]), n_starts, axis=0)
-        vecs = np.repeat(np.stack([s.vector for s in live]), n_starts, axis=0)
+        mats, vecs = (np.repeat(x, n_starts, axis=0) for x in _lanes(live)[:2])
         rho0 = np.tile(MULTI_STARTS, len(live))
         squares = np.tile([r**2 for r in MULTI_STARTS], len(live))
         # the first moment row has unit coefficient on sigma^2
@@ -517,34 +527,25 @@ def _solve_free(systems: Sequence[MomentSystem]) -> list[MomentSolution]:
         rho_prof, sigma_prof, obj_prof = next(profiled)
         if obj_prof < obj:
             rho, sigma2, obj = rho_prof, sigma_prof, obj_prof
-        sigma_clamped = False
-        if sigma2 == 0.0:
-            # re-run the closed form to see whether zero is a clamp or a solution
-            _, sigma_clamped = _solve_sigma_given_rho(system, float(rho))
-        solutions.append(
-            MomentSolution(
-                rho=float(rho),
-                sigma2=float(sigma2),
-                objective=float(obj),
-                rho_at_boundary=bool(abs(rho) >= RHO_BOUND - 1e-12),
-                sigma_clamped=sigma_clamped,
-            )
-        )
+        solutions.append(_solution(system, rho, sigma2, obj, abs(rho) >= RHO_BOUND - 1e-12))
     return solutions
 
 
 def solve_moment_system(system: MomentSystem, fixed_rho: float | None = None) -> MomentSolution:
     """Solve three moment conditions for (rho, sigma^2).
 
-    With ``fixed_rho`` the problem is linear in sigma^2 and solved in closed
-    form.  Otherwise a damped Gauss-Newton runs from five rho starts and
-    keeps the lowest finite objective (ties to the earlier start); the
-    profiled scan of ``_profiled_minima`` replaces it when strictly lower.
-    This is ``_solve_free`` of the one system, whose lanes have the same
-    bits in any call.  No convergence flag is reported: the result is the
-    best point found, with its objective.  A system whose data-dependent
-    entries are all zero carries no information and returns (0, 0), or
-    (fixed_rho, 0), with a warning.
+    With ``fixed_rho`` the problem is linear in sigma^2: the point and its
+    objective are ``_profiled`` at ``fixed_rho`` on the system's one lane,
+    the free solver's own arithmetic, never flagged as on the boundary.
+    Otherwise a damped Gauss-Newton runs from five rho starts and keeps the
+    lowest finite objective (ties to the earlier start); the profiled scan
+    of ``_profiled_minima`` replaces it when strictly lower.  This is
+    ``_solve_free`` of the one system, whose lanes have the same bits in
+    any call.  Either way ``_solution`` builds the result, flagging and
+    warning about a clamped sigma^2.  No convergence flag is reported: the
+    result is the best point found, with its objective.  A system whose
+    data-dependent entries are all zero carries no information and returns
+    (0, 0), or (fixed_rho, 0), with a warning.
     """
     if fixed_rho is None:
         return _solve_free([system])[0]
@@ -552,15 +553,8 @@ def solve_moment_system(system: MomentSystem, fixed_rho: float | None = None) ->
         raise ValidationError(f"fixed rho must satisfy |rho| < 1, got {fixed_rho}")
     if system.degenerate:
         return _degenerate_solution(system, float(fixed_rho))
-    sigma2, clamped = _solve_sigma_given_rho(system, fixed_rho)
-    res = system.residual(fixed_rho, sigma2)
-    return MomentSolution(
-        rho=float(fixed_rho),
-        sigma2=sigma2,
-        objective=float(res @ res),
-        rho_at_boundary=False,
-        sigma_clamped=clamped,
-    )
+    sigma2, obj = _profiled(*_lanes([system]), np.array([fixed_rho]))
+    return _solution(system, fixed_rho, sigma2[0], obj[0], False)
 
 
 def _moment_systems(

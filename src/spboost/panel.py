@@ -22,7 +22,7 @@ from .errors import (
     UnbalancedPanelError,
     ValidationError,
 )
-from .weights import SpatialWeights, _read_only
+from .weights import SpatialWeights, _csv_rows, _read_only
 
 INTERCEPT_NAME = "intercept"
 LAG_PREFIX = "W_"
@@ -288,8 +288,7 @@ def read_panel_csv(path: str) -> PanelDataset:
     are checked against the set of cells seen so far, so the first repeated
     row is the one reported.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with _csv_rows(path) as reader:
         header = next(reader, None)
         if header is None:
             raise ParseError("empty file", row=1)
@@ -356,7 +355,7 @@ def read_panel_csv(path: str) -> PanelDataset:
 def write_panel_csv(path: str, data: PanelDataset) -> None:
     """Write a panel back to the long CSV format accepted by read_panel_csv."""
     n = data.n_locations
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["location", "period", "y"] + list(data.regressor_names))
         for ti, per in enumerate(data.period_ids):

@@ -126,7 +126,7 @@ def write_json(path: str, payload: Mapping) -> None:
 
 
 def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:

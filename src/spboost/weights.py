@@ -8,6 +8,7 @@ result reproducible regardless of how the distances happen to round.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 from dataclasses import dataclass
@@ -27,6 +28,17 @@ from .errors import (
 # memory, LAPACK's copies and workspace included (about 0.72 GB at this
 # limit, 171 MB at n = 2000), on top of the weights themselves.
 DENSE_LIMIT = 4096
+
+
+@contextlib.contextmanager
+def _csv_rows(path: str):
+    """A ``csv.reader`` over the file at ``path``, read as UTF-8 with an
+    optional byte-order mark; bytes that are not UTF-8 raise ``ParseError``."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        try:
+            yield csv.reader(fh)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text ({exc.reason})") from None
 
 
 def _read_only(value, dtype=float) -> np.ndarray:
@@ -157,8 +169,7 @@ def read_centroid_csv(path: str, location_ids: list[str] | None = None) -> tuple
     """
     labels: list[str] = []
     coords: list[tuple[float, float]] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with _csv_rows(path) as reader:
         header = next(reader, None)
         if header is None or [c.strip() for c in header] != ["location", "cx", "cy"]:
             raise ParseError("expected header 'location,cx,cy'", row=1)
@@ -197,8 +208,7 @@ def read_neighbor_csv(path: str, location_ids: list[str]) -> SpatialWeights:
         )
     m = np.zeros((n, n))
     seen: set[tuple[int, int]] = set()
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with _csv_rows(path) as reader:
         header = next(reader, None)
         if header is None or [c.strip() for c in header] != ["from", "to", "weight"]:
             raise ParseError("expected header 'from,to,weight'", row=1)

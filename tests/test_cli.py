@@ -5,6 +5,7 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -86,6 +87,22 @@ def load_json(path):
         return json.load(fh)
 
 
+# what the installed ``spboost`` console script runs
+CONSOLE_SCRIPT = "import sys; from spboost.cli import main; sys.exit(main())"
+
+
+def run_console(argv, **env):
+    """The console script in a fresh interpreter, with ``env`` added to the
+    environment and the default warning filters; returns the finished process."""
+    env = {**os.environ, **env}
+    env.pop("PYTHONWARNINGS", None)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spboost.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", CONSOLE_SCRIPT, *argv], env=env, capture_output=True, text=True
+    )
+
+
 # ---------------------------------------------------------------------------
 # fit
 
@@ -149,6 +166,42 @@ def test_fit_exit_codes_for_bad_inputs(panel_files, tmp_path, capsys):
     code = main(fit_args(str(tmp_path / "missing.csv"), centroids, tmp_path / "o2"))
     assert code == 4
     assert "i/o error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("latin1", [None, "panel", "centroids"])
+def test_input_that_is_not_utf8_exits_2(panel_files, tmp_path, capsys, latin1):
+    # location "0" is renamed in both files, each written as UTF-8 or Latin-1
+    paths = []
+    for name, path in zip(("panel", "centroids"), panel_files):
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read().replace("\n0,", "\nOrléans,")
+        paths.append(str(tmp_path / f"{name}.csv"))
+        with open(paths[-1], "wb") as fh:
+            fh.write(text.encode("latin-1" if name == latin1 else "utf-8"))
+    code = main(fit_args(*paths, tmp_path / "o"))
+    err = capsys.readouterr().err.splitlines()
+    if latin1 is None:
+        assert code == 0
+        return
+    assert code == 2
+    assert len(err) == 1
+    assert err[0].startswith("spboost: invalid input: ") and "is not UTF-8 text" in err[0]
+
+
+def test_utf8_labels_are_written_as_utf8_under_an_ascii_locale(panel_files, tmp_path):
+    # the C locale without coercion makes the locale's encoding ASCII
+    paths = []
+    for name, path in zip(("panel", "centroids"), panel_files):
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read().replace("\n0,", "\nZürich,")
+        paths.append(str(tmp_path / f"{name}.csv"))
+        with open(paths[-1], "w", encoding="utf-8") as fh:
+            fh.write(text)
+    argv = ["transform", *fit_args(*paths, tmp_path / "o")[1:]]
+    done = run_console(argv, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    assert done.returncode == 0, done.stderr
+    with open(tmp_path / "o" / "transformed.csv", encoding="utf-8") as fh:
+        assert "\nZürich,0," in fh.read()
 
 
 def test_fit_centroids_require_knn(panel_files, tmp_path, capsys):
@@ -768,6 +821,40 @@ def test_forked_simulation_matches_serial(tmp_path, two_processors, ignore_modul
     assert one == two
 
 
+# location-effect variances estimated below zero: two of the three
+# replications clamp theirs, under KKP through the fixed-rho closed form
+CLAMP_SIM = [
+    "simulate", "--n", "20", "--k", "6", "--nsim", "3", "--mstop-budget", "50",
+    "--sigma-mu2", "0",
+]
+CLAMP_LINE = (
+    r"spboost: warning: negative variance estimate -[0-9.e-]+ clamped to zero "
+    r"\(location_effect moments\)"
+)
+
+
+@pytest.mark.parametrize("family", ["gspecm", "kkp"])
+def test_console_prints_each_warning_as_one_line(tmp_path, family):
+    errs, outs = [], [tmp_path / "t1", tmp_path / "t2"]
+    for threads, out in zip(("1", "2"), outs):
+        argv = [*CLAMP_SIM, "--family", family, "--threads", threads, "--out-dir", str(out)]
+        done = run_console(argv)
+        assert done.returncode == 0, done.stderr
+        errs.append(done.stderr)
+    assert errs[0] == errs[1]
+    lines = errs[0].splitlines()
+    assert len(lines) == 2
+    assert all(re.fullmatch(CLAMP_LINE, line) for line in lines), lines
+    for name in ("metrics.csv", "replications.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_main_restores_the_warning_format(panel_files, tmp_path):
+    before = warnings.formatwarning
+    assert main(fit_args(*panel_files, tmp_path / "o", "--threads", "0")) == 2
+    assert warnings.formatwarning is before
+
+
 def test_worker_warning_from_a_file_no_module_has_is_shown(tmp_path, monkeypatch, two_processors):
     fit_all = spboost.simulate._fit_all
 
@@ -933,13 +1020,7 @@ COEF_RTOL = 1e-9
 
 def run_with_blas_threads(argv, threads):
     """Run the command line in a fresh interpreter, BLAS pinned to ``threads``."""
-    env = dict(os.environ)
-    env.update({name: str(threads) for name in BLAS_THREAD_VARIABLES})
-    src = os.path.dirname(os.path.dirname(os.path.abspath(spboost.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    subprocess.run(
-        [sys.executable, "-m", "spboost.cli", *argv], env=env, check=True, capture_output=True
-    )
+    run_console(argv, **{name: str(threads) for name in BLAS_THREAD_VARIABLES}).check_returncode()
 
 
 def assert_close(a, b, what):

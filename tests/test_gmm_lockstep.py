@@ -326,6 +326,19 @@ def test_lockstep_is_bitwise_the_per_system_solver(kind):
     assert_lockstep_matches_reference(seeded_systems(kind, range(250)))
 
 
+@pytest.mark.parametrize("rho", [0.0, 0.5, -0.999, 0.999])
+def test_fixed_rho_is_bitwise_the_per_system_closed_form(rho):
+    kinds = ["random", "exact", "clamped", "boundary"]
+    systems = [s for kind in kinds for s in seeded_systems(kind, range(250))] + STALLING
+    clamps = 0
+    for system in systems:
+        expected, messages = recorded(lambda: reference_solve(system, fixed_rho=rho))
+        solution, warned = recorded(lambda: solve_moment_system(system, fixed_rho=rho))
+        assert (repr(solution), warned) == (repr(expected), messages)
+        clamps += expected.sigma_clamped
+    assert clamps  # the clamp and its warning are exercised at every rho
+
+
 def test_lockstep_keeps_the_stalling_systems_and_their_clamp_warnings():
     systems = STALLING + seeded_systems("clamped", range(3)) + STALLING[::-1]
     reference = [recorded(lambda s=s: reference_solve(s)) for s in systems]

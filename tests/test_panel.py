@@ -476,6 +476,26 @@ def test_read_panel_csv_empty_and_header_only(tmp_path):
         read_panel_csv(path)
 
 
+def test_read_panel_csv_skips_a_byte_order_mark(tmp_path):
+    # Excel's "CSV UTF-8" starts the file with one
+    text = "location,period,y,x1\nZürich,1,0.5,1.0\nBern,1,1.5,2.0\nZürich,2,2.5,3.0\nBern,2,3.5,4.0\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(text.encode("utf-8-sig"))
+    a, b = read_panel_csv(plain), read_panel_csv(marked)
+    assert a.location_ids == b.location_ids == ("Zürich", "Bern")
+    assert (a.period_ids, a.regressor_names) == (b.period_ids, b.regressor_names)
+    assert np.array_equal(a.response, b.response)
+    assert np.array_equal(a.regressors, b.regressors)
+
+
+def test_read_panel_csv_refuses_text_that_is_not_utf8(tmp_path):
+    path = tmp_path / "panel.csv"
+    path.write_bytes("location,period,y\nOrléans,1,0.5\nBern,1,1.5\n".encode("latin-1"))
+    with pytest.raises(ParseError, match="is not UTF-8 text"):
+        read_panel_csv(path)
+
+
 def test_standardize_leaves_a_constant_column_untouched():
     data = small_panel(n=4, t=3)
     x = data.regressors.copy()

@@ -269,6 +269,46 @@ def test_read_neighbor_csv(tmp_path):
     assert w.matrix[2, 1] == 1.0
 
 
+def test_readers_skip_a_byte_order_mark(tmp_path):
+    # Excel's "CSV UTF-8" starts the file with one
+    labels = ("Zürich", "Bern", "Genève")
+    texts = {
+        "centroids": "location,cx,cy\nBern,1.0,0.0\nZürich,0.0,0.0\nGenève,0.0,1.0\n",
+        "edges": "from,to,weight\nZürich,Bern,1.0\nBern,Genève,0.5\nGenève,Zürich,0.25\n",
+    }
+    read = {}
+    for encoding in ("utf-8", "utf-8-sig"):
+        for name, text in texts.items():
+            (tmp_path / f"{name}-{encoding}.csv").write_bytes(text.encode(encoding))
+        read[encoding] = (
+            read_centroid_csv(tmp_path / f"centroids-{encoding}.csv"),
+            read_centroid_csv(tmp_path / f"centroids-{encoding}.csv", labels),
+            read_neighbor_csv(tmp_path / f"edges-{encoding}.csv", labels).matrix,
+        )
+    (plain_labels, plain_pts), (_, plain_ordered), plain_w = read["utf-8"]
+    (marked_labels, marked_pts), (_, marked_ordered), marked_w = read["utf-8-sig"]
+    assert plain_labels == marked_labels == ["Bern", "Zürich", "Genève"]
+    assert np.array_equal(plain_pts, marked_pts)
+    assert np.array_equal(plain_ordered, marked_ordered)
+    assert np.array_equal(plain_w, marked_w)
+    assert plain_w[0, 1] == 1.0 and plain_w[1, 2] == 0.5 and plain_w[2, 0] == 0.25
+
+
+@pytest.mark.parametrize(
+    "reader, text",
+    [
+        (read_centroid_csv, "location,cx,cy\nOrléans,0.0,0.0\n"),
+        (read_neighbor_csv, "from,to,weight\nOrléans,Bern,1.0\n"),
+    ],
+    ids=["centroids", "edges"],
+)
+def test_readers_refuse_text_that_is_not_utf8(tmp_path, reader, text):
+    path = tmp_path / "input.csv"
+    path.write_bytes(text.encode("latin-1"))
+    with pytest.raises(ParseError, match="is not UTF-8 text"):
+        reader(path, ["Orléans", "Bern"])
+
+
 def test_read_neighbor_csv_self_loop_reports_row(tmp_path):
     path = tmp_path / "edges.csv"
     path.write_text("from,to,weight\nA,B,1.0\nB,B,1.0\n")
