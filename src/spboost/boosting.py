@@ -289,21 +289,13 @@ def deselect(
         warnings.warn(
             "boosting achieved no risk reduction; deselection returns the empty model"
         )
-        return DeselectionResult(
-            attributable=attributable,
-            names=td.names,
-            retained=(),
-            threshold=threshold,
-            total_reduction=total,
-            refit=None,
-        )
-    keep = attributable >= threshold * total
-    retained = tuple(td.names[i] for i in np.nonzero(keep)[0])
-    if not retained:
-        warnings.warn("every column fell below the deselection threshold")
-        refit = None
+        retained = ()
     else:
-        refit = boost(td, config, active_columns=retained, n_iterations=fit.m_used)
+        keep = attributable >= threshold * total
+        retained = tuple(td.names[i] for i in np.nonzero(keep)[0])
+        if not retained:
+            warnings.warn("every column fell below the deselection threshold")
+    refit = boost(td, config, active_columns=retained, n_iterations=fit.m_used) if retained else None
     return DeselectionResult(
         attributable=attributable,
         names=td.names,

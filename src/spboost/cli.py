@@ -23,7 +23,7 @@ from .boosting import BoostConfig
 from .crossval import FoldKind, boost_cv_curve, choose_stopping_iteration
 from .errors import EstimationError, ValidationError
 from .panel import ModelSpec, read_panel_csv
-from .pipeline import build_fold_plan, fit_model, prepare, standardize_regressors
+from .pipeline import _prepare_all, build_fold_plan, fit_model, standardize_regressors
 from .report import (
     components_payload,
     cross_validation_payload,
@@ -196,8 +196,7 @@ def _write_report(args, name: str, start: float, body: dict) -> None:
     write_json(os.path.join(args.out_dir, name), payload)
 
 
-def cmd_fit(args) -> int:
-    start = time.perf_counter()
+def cmd_fit(args, start: float) -> int:
     data, weights, inputs, spec, config = _load_inputs(args)
     result = fit_model(
         data,
@@ -215,11 +214,10 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def cmd_cv(args) -> int:
-    start = time.perf_counter()
+def cmd_cv(args, start: float) -> int:
     data, weights, inputs, spec, config = _load_inputs(args)
     plan = build_fold_plan(data, FoldKind(args.cv), args.folds, args.seed)
-    _, td = prepare(data, weights, spec, config, plan)
+    _, _, td = _prepare_all([(data, weights, plan)], spec, config)[0]
     curve = boost_cv_curve(td.response, td.design, plan, config)
     m_opt = choose_stopping_iteration(curve)
     _write_report(
@@ -235,13 +233,12 @@ def cmd_cv(args) -> int:
     return 0
 
 
-def cmd_transform(args) -> int:
-    start = time.perf_counter()
+def cmd_transform(args, start: float) -> int:
     data, weights, inputs, spec, config = _load_inputs(args)
     # fit's fold plan, so that boosted preliminary residuals whiten alike;
     # built only on that route, since least-squares residuals need none
     plan = functools.partial(build_fold_plan, data, FoldKind(args.cv), args.folds, args.seed)
-    components, td = prepare(data, weights, spec, config, plan)
+    _, components, td = _prepare_all([(data, weights, plan)], spec, config)[0]
     _write_report(
         args,
         "transform.json",
@@ -265,8 +262,7 @@ def cmd_transform(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
-    start = time.perf_counter()
+def cmd_simulate(args, start: float) -> int:
     methods = tuple(s.strip() for s in args.methods.split(",") if s.strip())
     cfg = DgpConfig(
         n_locations=args.n,
@@ -315,7 +311,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.threads < 1:
             raise ValidationError(f"--threads must be at least 1, got {args.threads}")
-        return handlers[args.command](args)
+        return handlers[args.command](args, time.perf_counter())
     except ValidationError as exc:
         print(f"spboost: invalid input: {exc}", file=sys.stderr)
         return 2

@@ -271,42 +271,36 @@ def _lockstep_risks(folds: list, learning_rate: float, n_iterations: int) -> np.
     * the held-out residuals of the last ``CV_HISTORY_STEPS`` iterations
       are kept, and their risks are taken every so many steps by one
       ``np.matmul(seg[..., None, :], seg[..., :, None])`` per held-out
-      length, over the folds of that length, which the lanes hold side by
-      side (ordered by length, stably); each item of it reduces a fold's
-      own residual through the same dot as ``d @ d``.
+      length, over the folds of that length, gathered by an index array;
+      each item of it reduces a fold's own contiguous residual through the
+      same dot as ``d @ d``.
     """
     n_folds = len(folds)
     width = max(z.shape[1] for _, z, *_ in folds)
-    lengths = [int(test.sum()) for *_, test, _ in folds]
-    # fold b runs in lane lanes[b]; the lanes hold the folds by length
-    lanes = np.argsort(np.argsort(lengths, kind="stable"))
-    n_outs = sorted(lengths)
+    n_outs = np.array([int(test.sum()) for *_, test, _ in folds])
     corr = np.zeros((n_folds, width))
     inv_norms2 = np.zeros((n_folds, width))
     penalty = np.full((n_folds, width), -np.inf)
-    # row ``a * width + j``: lane a's Gram column j, then its held-out
+    # row ``b * width + j``: fold b's Gram column j, then its held-out
     # values, so that one gather fetches both
-    cache = np.zeros((n_folds * width, width + n_outs[-1]))
-    history = np.zeros((CV_HISTORY_STEPS + 1, n_folds, n_outs[-1]))
-    # in fold order, which the screen's warnings and errors keep
+    cache = np.zeros((n_folds * width, width + n_outs.max()))
+    history = np.zeros((CV_HISTORY_STEPS + 1, n_folds, n_outs.max()))
     for b, (y, z, train, test, warn_label) in enumerate(folds):
-        a = lanes[b]
         zt = z[train]
         k = zt.shape[1]
-        inv_norms2[a, :k], selectable, _ = _screen_columns(zt, None, warn_label)
-        penalty[a, :k][selectable] = 0.0
-        corr[a, :k] = zt.T @ y[train]
+        inv_norms2[b, :k], selectable, _ = _screen_columns(zt, None, warn_label)
+        penalty[b, :k][selectable] = 0.0
+        corr[b, :k] = zt.T @ y[train]
         for j in range(k):
-            cache[a * width + j, :k] = zt.T @ zt[:, j]
-        cache[a * width : a * width + k, width : width + n_outs[a]] = z[test].T
-        history[0, a, : n_outs[a]] = y[test]
+            cache[b * width + j, :k] = zt.T @ zt[:, j]
+        cache[b * width : b * width + k, width : width + n_outs[b]] = z[test].T
+        history[0, b, : n_outs[b]] = y[test]
 
     offsets = np.arange(n_folds) * width
     scores = np.empty((n_folds, width))
     risk = np.empty((n_folds, n_iterations + 1))
-    # the lanes of each held-out length, whose risks one matmul takes
-    starts = [a for a in range(n_folds) if a == 0 or n_outs[a] != n_outs[a - 1]]
-    groups = [(n_outs[a], slice(a, e)) for a, e in zip(starts, starts[1:] + [n_folds])]
+    # the folds of each held-out length, whose risks one matmul takes
+    groups = [(n, np.flatnonzero(n_outs == n)) for n in np.unique(n_outs).tolist()]
     # history[s] holds the residuals after ``done + s`` iterations; the risks
     # of rows ``first`` to ``s`` are still to be taken
     done = first = s = 0
@@ -337,7 +331,7 @@ def _lockstep_risks(folds: list, learning_rate: float, n_iterations: int) -> np.
             history[0] = history[s]
             done, first, s = done + s, 1, 0
     flush()
-    return risk[lanes]
+    return risk
 
 
 def _cv_curves(problems: list, config: BoostConfig) -> list:

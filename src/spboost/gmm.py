@@ -575,13 +575,15 @@ def _moment_systems(
         )
     if weights.n_locations != data.n_locations:
         raise ValidationError("weight matrix does not match the panel")
-    row_sums = weights.matrix.sum(axis=1)
-    worst = int(np.argmax(row_sums))
-    if row_sums[worst] > 1.0 + 1e-12:
+    row_sums, col_sums = weights.matrix.sum(axis=1), weights.matrix.sum(axis=0)
+    row, col = int(np.argmax(row_sums)), int(np.argmax(col_sums))
+    if min(row_sums[row], col_sums[col]) > 1.0 + 1e-12:
+        ids = data.location_ids
         raise ValidationError(
-            f"weight row {worst} (location {data.location_ids[worst]!r}) sums to "
-            f"{float(row_sums[worst])!r} > 1, so |rho| <= {RHO_BOUND} is not an admissible "
-            "range; row-normalize the weights (--row-normalize)"
+            f"weight row {row} (location {ids[row]!r}) sums to {float(row_sums[row])!r} "
+            f"and column {col} (location {ids[col]!r}) to {float(col_sums[col])!r}, both "
+            f"> 1, so |rho| <= {RHO_BOUND} is not an admissible range; row-normalize the "
+            "weights (--row-normalize)"
         )
 
     triple = initial_residuals(data, design, weights, config=config, cv_plan=cv_plan)
@@ -656,10 +658,10 @@ def estimate_variance_components(
     ``config`` and ``cv_plan`` go to ``initial_residuals``: the fold plan,
     or a zero-argument callable that builds it, is used only when the
     preliminary residuals are boosted.
-    Weights with a row summing to more than one are refused with
-    ``ValidationError``: the solver's range |rho| <= 0.999 is admissible
-    only for a spectral radius of W at most 1, which the largest row sum
-    bounds.
+    Weights whose largest row sum and largest column sum both exceed one
+    are refused with ``ValidationError``: the solver's range |rho| <= 0.999
+    is admissible only for a spectral radius of W at most 1, which each of
+    those two sums bounds (Kelejian & Prucha 2010).
     """
     free, pinned = _moment_systems(data, design, weights, spec, config=config, cv_plan=cv_plan)
     return _variance_components(spec, pinned, _solve_free(free))

@@ -238,12 +238,19 @@ def augment_design(
     Columns are ordered: intercept (if any), the regressors as given, then
     one spatial lag per regressor (if requested).  Under fixed effects any
     regressor that is time-invariant for every location is rejected, because
-    the within transform would map it to an identically zero column.
+    the within transform would map it to an identically zero column.  A
+    design without any column (no regressor and no intercept) is refused
+    with ``ValidationError`` before anything is estimated.
     """
     if weights.n_locations != data.n_locations:
         raise ValidationError(
             f"weight matrix is {weights.n_locations}x{weights.n_locations} but the "
             f"panel has {data.n_locations} locations"
+        )
+    if not (spec.include_intercept or data.regressor_names):
+        raise ValidationError(
+            "the candidate design has no column: the panel has no regressor and "
+            "the intercept is dropped"
         )
     x = data.regressors
     if spec.effects is Effects.FIXED:

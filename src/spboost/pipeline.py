@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -87,11 +87,12 @@ def whiten(
 
 
 def _prepare_all(panels: Iterable, spec: ModelSpec, config: BoostConfig) -> list:
-    """``(plan, *prepare(data, weights, spec, config, plan))`` of each
-    ``(data, weights, plan)``, in stages across the panels: the design,
-    preliminary residuals and moment systems of each as it is drawn; one
-    ``gmm._solve_free`` call over the free systems of all; then the variance
-    components and whitening of each."""
+    """``(plan, components, transformed)`` of each ``(data, weights, plan)``,
+    ``plan`` being the fold plan for boosted preliminary residuals or a
+    zero-argument callable that builds it only when they are boosted.  In
+    stages across the panels: the design, preliminary residuals and moment
+    systems of each as it is drawn; one ``gmm._solve_free`` call over the
+    free systems of all; then the variance components and whitening of each."""
     staged = []
     for data, weights, plan in panels:
         design = augment_design(data, weights, spec)
@@ -104,25 +105,6 @@ def _prepare_all(panels: Iterable, spec: ModelSpec, config: BoostConfig) -> list
         components = _variance_components(spec, pinned, [next(solutions) for _ in free])
         prepared.append((plan, components, whiten(data, design, weights, spec, components)))
     return prepared
-
-
-def prepare(
-    data: PanelDataset,
-    weights: SpatialWeights,
-    spec: ModelSpec,
-    config: BoostConfig,
-    plan: FoldPlan | Callable[[], FoldPlan],
-) -> tuple[VarianceComponents, TransformedData]:
-    """The stages before boosting: design, variance components, whitening.
-
-    The variance parameters are estimated once on the full sample from
-    preliminary residuals, as ``gmm.estimate_variance_components`` does,
-    and the data whitened once.  ``plan`` is the fold plan for boosted
-    preliminary residuals, or a zero-argument callable that builds it only
-    when they are boosted.
-    """
-    _, components, transformed = _prepare_all([(data, weights, plan)], spec, config)[0]
-    return components, transformed
 
 
 @dataclass(frozen=True)
@@ -158,6 +140,13 @@ class FitResult:
                 )
             return self.baseline
         raise ValidationError(f"unknown method {method!r}")
+
+
+def _coefficient_table(result: FitResult) -> dict[str, np.ndarray]:
+    """Coefficient vector of each method the fit ran, in the order ltb, des,
+    fgls: the methods that the reports and the simulation scores cover."""
+    ran = {"ltb": True, "des": result.deselection is not None, "fgls": result.baseline is not None}
+    return {m: result.coefficients(m) for m, did in ran.items() if did}
 
 
 def _fit_all(

@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .crossval import FoldPlan
 from .gmm import VarianceComponents
-from .pipeline import FitResult
+from .pipeline import FitResult, _coefficient_table
 from .simulate import SimulationMetrics
 
 
@@ -57,12 +57,6 @@ def cross_validation_payload(plan: FoldPlan, m_opt: int, curve: np.ndarray) -> d
         "m_opt": m_opt,
         "curve": [float(v) for v in curve],
     }
-
-
-def _coefficient_table(result: FitResult) -> dict[str, np.ndarray]:
-    """Coefficient vector of each method the fit ran, in the order ltb, des, fgls."""
-    ran = {"ltb": True, "des": result.deselection is not None, "fgls": result.baseline is not None}
-    return {m: result.coefficients(m) for m, did in ran.items() if did}
 
 
 def fit_payload(result: FitResult) -> dict:

@@ -30,7 +30,7 @@ from .crossval import FoldKind, _stream
 from .errors import AlignmentError, ValidationError
 from .linalg import SpatialFilter
 from .panel import INTERCEPT_NAME, LAG_PREFIX, ModelSpec, PanelDataset, spatial_lag
-from .pipeline import _fit_all
+from .pipeline import _coefficient_table, _fit_all
 from .weights import SpatialWeights, build_knn_weights
 
 METHODS = ("fgls", "ltb", "des")
@@ -274,14 +274,17 @@ def _worker_count(workers: int, n_replications: int, n_cpus: int) -> int:
 
 
 def _fit_rows(cfg, geometry, methods, spec, boost_config, n_folds, deselect_threshold, replications):
-    """Fit ``replications`` by one ``_fit_all`` call; keep of each fit what the
-    evaluation reads: names, coefficients by method (no fgls where it is
-    unavailable) and why the benchmark is unavailable, or None."""
+    """Fit ``replications`` by one ``_fit_all`` call and score each fit where
+    it is made: ``({method: (tpr, tnr, squared_error)}, reason)``, with a
+    score for each of ``methods`` the fit ran (``pipeline._coefficient_table``)
+    and ``reason`` why the benchmark is unavailable, or None."""
     panels = ((*generate_panel(cfg, r, geometry=geometry), cfg.fold_seed(r)) for r in replications)
     des = deselect_threshold if "des" in methods else None
     fits = _fit_all(panels, spec, boost_config, FoldKind.SPATIAL, n_folds, des, "fgls" in methods)
+    truth = cfg.true_coefficients
     return [
-        (fr.names, {m: fr.coefficients(m) for m in methods if m != "fgls" or fr.baseline is not None},
+        ({m: (*evaluate_selection(c, fr.names, truth), evaluate_mse(c, fr.names, truth))
+          for m, c in _coefficient_table(fr).items() if m in methods},
          fr.baseline_unavailable_reason)
         for fr in fits
     ]
@@ -353,7 +356,8 @@ def run_experiment(
 ) -> SimulationMetrics:
     """Run all replications of a configuration and aggregate the metrics.
 
-    Selection rates and errors are averaged over replications per method.
+    Each fit is scored where it is made; the scores are averaged over
+    replications per method and listed in ``per_replication`` method by method.
     A method that is infeasible on this design (least squares with more
     candidates than observations) is reported as unavailable rather than
     failing the experiment.  Before any fit, ``ValidationError`` refuses an
@@ -399,32 +403,20 @@ def run_experiment(
     replications = range(cfg.n_replications)
     rows = fit_rows(replications) if workers == 1 else _forked_rows(fit_rows, replications, workers)
 
-    truth = cfg.true_coefficients
     details: list[dict] = []
     per_method: dict[str, MethodMetrics] = {}
-    reason = next((reason for _, _, reason in rows if reason is not None), None)
+    reason = next((reason for _, reason in rows if reason is not None), None)
     for method in methods:
         if method == "fgls" and reason is not None:
-            per_method[method] = MethodMetrics(
-                method=method, available=False, unavailable_reason=reason
-            )
+            per_method[method] = MethodMetrics(method, False, unavailable_reason=reason)
             continue
-        scores = []
-        for r, (names, coefs, _) in enumerate(rows):
-            tpr, tnr = evaluate_selection(coefs[method], names, truth)
-            se = evaluate_mse(coefs[method], names, truth)
-            scores.append((tpr, tnr, se))
-            details.append(
-                {"replication": r, "method": method, "tpr": tpr, "tnr": tnr, "squared_error": se}
-            )
-        arr = np.asarray(scores)
-        per_method[method] = MethodMetrics(
-            method=method,
-            available=True,
-            tpr=float(arr[:, 0].mean()),
-            tnr=float(arr[:, 1].mean()),
-            mse=float(arr[:, 2].mean()),
+        scores = [row_scores[method] for row_scores, _ in rows]
+        details.extend(
+            {"replication": r, "method": method, "tpr": tpr, "tnr": tnr, "squared_error": se}
+            for r, (tpr, tnr, se) in enumerate(scores)
         )
+        means = (float(column.mean()) for column in np.asarray(scores).T)
+        per_method[method] = MethodMetrics(method, True, *means)
     return SimulationMetrics(
         config=cfg,
         spec=spec,

@@ -58,8 +58,8 @@ class SpatialWeights:
     ----------
     matrix : ndarray of shape (n, n)
         Finite, non-negative weights, zero diagonal.  Row sums are not
-        checked here: ``estimate_variance_components`` refuses a row sum
-        above one.
+        checked here: ``estimate_variance_components`` refuses weights
+        whose largest row sum and largest column sum both exceed one.
     """
 
     matrix: np.ndarray

@@ -25,7 +25,7 @@ from spboost.crossval import FoldKind
 from spboost.errors import ConditioningError
 from spboost.gmm import OLS_DIMENSION_RATIO
 from spboost.panel import ModelSpec, read_panel_csv, write_panel_csv
-from spboost.pipeline import build_fold_plan, prepare
+from spboost.pipeline import _prepare_all, build_fold_plan
 from spboost.report import write_csv
 from spboost.simulate import DgpConfig, generate_panel
 from spboost.weights import build_knn_weights, read_centroid_csv
@@ -346,6 +346,55 @@ def test_fit_refuses_unnormalized_neighbor_list_weights(panel_files, tmp_path, c
     assert main([*common, "--row-normalize", "--out-dir", str(tmp_path / "normalized")]) == 0
 
 
+def test_fit_admits_weights_whose_columns_sum_to_one(panel_files, tmp_path):
+    # the transpose of the row-normalized kNN weights: rows sum past one,
+    # columns to one, so |rho| <= 0.999 stays admissible
+    panel, centroids = panel_files
+    data = read_panel_csv(panel)
+    _, pts = read_centroid_csv(centroids, list(data.location_ids))
+    transposed = build_knn_weights(pts, 3).matrix.T
+    assert transposed.sum(axis=1).max() > 1.5
+    assert transposed.sum(axis=0).max() <= 1.0 + 1e-12
+    edges = [
+        (data.location_ids[i], data.location_ids[j], repr(float(transposed[i, j])))
+        for i, j in zip(*np.nonzero(transposed))
+    ]
+    neighbours = tmp_path / "transposed.csv"
+    write_csv(str(neighbours), ["from", "to", "weight"], edges)
+    args = ["fit", "--panel", panel, "--weights", str(neighbours), "--cv", "time",
+            "--mstop-budget", "50", "--out-dir", str(tmp_path / "o")]
+    assert main(args) == 0
+    assert load_json(tmp_path / "o" / "report.json")["inputs"]["weights"]["row_normalized"] is False
+
+
+@pytest.fixture(scope="module")
+def bare_panel(panel_files, tmp_path_factory):
+    """The module's panel cut to ``location,period,y``: no regressor at all."""
+    panel, centroids = panel_files
+    bare = tmp_path_factory.mktemp("bare") / "panel.csv"
+    with open(panel, newline="") as src, open(bare, "w", newline="") as dst:
+        csv.writer(dst).writerows(row[:3] for row in csv.reader(src))
+    return str(bare), centroids
+
+
+@pytest.mark.parametrize("command", ["fit", "cv", "transform"])
+def test_a_design_without_columns_is_refused_before_estimation(bare_panel, tmp_path, capsys, command):
+    panel, centroids = bare_panel
+    flags = ["--panel", panel, "--centroids", centroids, "--knn", "3", "--mstop-budget", "50"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, *flags, "--no-intercept", "--out-dir", str(tmp_path / "none")])
+    assert code == 2
+    assert caught == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("spboost: invalid input:"), err
+    assert "no column" in err[0]
+    assert not (tmp_path / "none").exists()
+    if command == "fit":
+        # the intercept alone is a design
+        assert main([command, *flags, "--out-dir", str(tmp_path / "intercept")]) == 0
+
+
 @pytest.mark.parametrize("command", ["fit", "cv", "transform"])
 def test_knn_with_neighbor_list_weights_is_refused(panel_files, tmp_path, capsys, command):
     # --knn builds weights from centroids only; with --weights it used to be
@@ -441,13 +490,13 @@ def test_transformed_csv_matches_prepare_in_period_major_order(panel_files, tmp_
     out = tmp_path / "tr"
     flags = ["--panel", panel, "--centroids", centroids, "--knn", "3", "--family", "kkp"]
     assert main(["transform", *flags, "--seed", "2", "--out-dir", str(out)]) == 0
-    # the oracle: the same set-up through the library, then prepare()
+    # the oracle: the same set-up through the library, then _prepare_all()
     data = read_panel_csv(panel)
     _, pts = read_centroid_csv(centroids, list(data.location_ids))
     weights = build_knn_weights(pts, 3)
     data = dataclasses.replace(data, centroids=pts)
     plan = build_fold_plan(data, FoldKind.SPATIAL, 5, 2)
-    _, td = prepare(data, weights, ModelSpec(family="kkp"), BoostConfig(), plan)
+    _, _, td = _prepare_all([(data, weights, plan)], ModelSpec(family="kkp"), BoostConfig())[0]
     with open(out / "transformed.csv") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["location", "period", "y_star", *td.names]

@@ -31,7 +31,7 @@ from spboost.crossval import (
 )
 from spboost.errors import DegenerateGeometryError, ValidationError
 from spboost.panel import ModelSpec
-from spboost.pipeline import build_fold_plan, prepare
+from spboost.pipeline import _prepare_all, build_fold_plan
 from spboost.transform import TransformedData
 from spboost.panel import Effects
 
@@ -856,11 +856,20 @@ def _kernel_risk(fold, cfg):
     )[2]
 
 
+def _held_out_fold(rng, n_out, b):
+    """Fold b: random rows of which ``n_out`` are held out."""
+    rows = n_out + int(rng.integers(10, 60))
+    y, z = _sparse_signal(rng, rows, int(rng.integers(4, 15)))
+    test = np.zeros(rows, dtype=bool)
+    test[rng.choice(rows, size=n_out, replace=False)] = True
+    return y, z, ~test, test, f"fold {b} training data"
+
+
 def test_lockstep_risks_grouped_by_held_out_length_are_bitwise_the_kernel():
     # held-out lengths drawn with repeats, so that some lengths are shared by
     # several folds and others belong to one fold alone; m_stop not a
     # multiple of the history length, so the last flush is a partial one
-    shared = unique = 0
+    cases = []
     for seed in range(12):
         rng = np.random.default_rng(400 + seed)
         cfg = BoostConfig(learning_rate=float(rng.uniform(0.05, 0.5)), m_stop=int(rng.integers(20, 90)))
@@ -868,11 +877,15 @@ def test_lockstep_risks_grouped_by_held_out_length_are_bitwise_the_kernel():
         folds = []
         for b in range(int(rng.integers(2, 14))):
             n_out = int(pool[rng.integers(0, 4)] if rng.uniform() < 0.6 else rng.integers(3, 40))
-            rows = n_out + int(rng.integers(10, 60))
-            y, z = _sparse_signal(rng, rows, int(rng.integers(4, 15)))
-            test = np.zeros(rows, dtype=bool)
-            test[rng.choice(rows, size=n_out, replace=False)] = True
-            folds.append((y, z, ~test, test, f"fold {b} training data"))
+            folds.append(_held_out_fold(rng, n_out, b))
+        cases.append((seed, cfg, folds))
+    # lengths falling with repeats, so that no length's folds are adjacent
+    # or in order
+    rng = np.random.default_rng(412)
+    folds = [_held_out_fold(rng, n_out, b) for b, n_out in enumerate([30, 20, 30, 10, 20])]
+    cases.append(("falling", BoostConfig(learning_rate=0.2, m_stop=45), folds))
+    shared = unique = 0
+    for seed, cfg, folds in cases:
         lengths = [int(f[3].sum()) for f in folds]
         shared += sum(lengths.count(n) > 1 for n in lengths)
         unique += sum(lengths.count(n) == 1 for n in lengths)
@@ -883,9 +896,9 @@ def test_lockstep_risks_grouped_by_held_out_length_are_bitwise_the_kernel():
 
 
 def test_lockstep_screens_its_folds_in_fold_order():
-    # the folds' held-out lengths fall (10, 4 and 1 locations), so the lanes
-    # run them in the reverse order; column f + 1 is nonzero on fold f's
-    # rows alone, so it is dead in fold f's training rows
+    # the folds' held-out lengths fall (10, 4 and 1 locations); column f + 1
+    # is nonzero on fold f's rows alone, so it is dead in fold f's training
+    # rows
     n, t = 15, 2
     labels = np.repeat([0, 1, 2], [10, 4, 1])
     plan = FoldPlan(FoldKind.SPATIAL, 3, np.tile(labels, t), n, t)
@@ -1039,7 +1052,7 @@ def test_select_m_opt_is_deterministic():
     cfg = BoostConfig(m_stop=40)
 
     def select_m_opt():
-        _, td = prepare(data, w, ModelSpec(), cfg, plan)
+        _, _, td = _prepare_all([(data, w, plan)], ModelSpec(), cfg)[0]
         curve = boost_cv_curve(td.response, td.design, plan, cfg)
         return choose_stopping_iteration(curve), curve
 

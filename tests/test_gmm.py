@@ -627,3 +627,17 @@ def test_component_estimation_refuses_row_sums_above_one():
             continue
         with pytest.raises(ValidationError, match=r"row 4 \(location 'L4'\).*--row-normalize"):
             estimate_variance_components(data, design, scaled, spec)
+
+
+def test_component_estimation_admits_columns_summing_to_at_most_one():
+    # the transpose of row-normalized kNN weights: its rows sum past one,
+    # but its columns sum to one, which bounds the spectral radius as well
+    data = make_panel(12, 3, 2, seed=21)
+    w, _ = make_weights(12, seed=21, k=3)
+    transposed = SpatialWeights(w.matrix.T.copy())
+    assert transposed.matrix.sum(axis=1).max() > 1.5
+    assert transposed.matrix.sum(axis=0).max() <= 1.0 + 1e-12
+    for spec in (ModelSpec(), ModelSpec(effects=Effects.FIXED, include_intercept=False)):
+        design = augment_design(data, transposed, spec)
+        assert estimate_variance_components(data, design, transposed, spec).sigma_eps2 > 0
+

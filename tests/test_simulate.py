@@ -340,7 +340,7 @@ def test_metrics_stay_in_valid_ranges():
     assert len(result.per_replication) == 2 * 2
 
 
-def test_fgls_marked_unavailable_in_high_dimensions():
+def test_fgls_marked_unavailable_in_high_dimensions(monkeypatch):
     cfg = small_cfg(n_locations=10, n_periods=2, n_candidates=24)
     result = run_experiment(
         cfg,
@@ -352,6 +352,25 @@ def test_fgls_marked_unavailable_in_high_dimensions():
     assert not fgls.available
     assert fgls.unavailable_reason
     assert result.per_method["ltb"].available
+    # without ltb, and from one worker or two: the same reason and scores,
+    # des alone in the replication rows
+    cfg = small_cfg(n_locations=10, n_periods=2, n_candidates=24, n_replications=3)
+    monkeypatch.setattr(spboost.simulate.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    runs = [
+        run_experiment(
+            cfg, methods=("fgls", "des"), boost_config=BoostConfig(m_stop=100), n_folds=2,
+            workers=workers,
+        )
+        for workers in (1, 2)
+    ]
+    for run in runs:
+        assert list(run.per_method) == ["fgls", "des"]
+        assert not run.per_method["fgls"].available
+        assert run.per_method["fgls"].unavailable_reason == fgls.unavailable_reason
+        assert run.per_method["des"].available
+        assert [row["method"] for row in run.per_replication] == ["des"] * 3
+    assert runs[0].per_method == runs[1].per_method
+    assert runs[0].per_replication == runs[1].per_replication
 
 
 def test_run_experiment_rejects_unknown_method():
