@@ -62,8 +62,8 @@ def operator_fingerprint(op: WhiteningOperator) -> str:
     h.update(op.mode.value.encode())
     h.update(np.int64(op.n_periods).tobytes())
     if op.between_block is not None:
-        h.update(np.ascontiguousarray(op.between_block).tobytes())
-    h.update(np.ascontiguousarray(op.within_block).tobytes())
+        h.update(np.ascontiguousarray(op.between_block))
+    h.update(np.ascontiguousarray(op.within_block))
     return h.hexdigest()[:12]
 
 

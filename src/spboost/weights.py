@@ -24,9 +24,9 @@ from .errors import (
 
 # Dense (n, n) storage is used throughout; beyond this the eigendecompositions
 # needed downstream stop being practical on a workstation.  Building the
-# random-effects whitener peaks at about 5.3 n x n float blocks of resident
-# memory, LAPACK's copies and workspace included (about 0.72 GB at this
-# limit, 171 MB at n = 2000), on top of the weights themselves.
+# random-effects whitener raises resident memory by about 5.3 n x n float
+# blocks, LAPACK's copies and workspace included (about 0.7 GB at this
+# limit, 168 MB at n = 2000), on top of the weights themselves.
 DENSE_LIMIT = 4096
 
 

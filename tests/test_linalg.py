@@ -140,6 +140,15 @@ def test_symmetric_sqrt_squares_back(rng):
     assert np.allclose(root, dense_symmetric_sqrt(spd), atol=1e-10)
 
 
+def test_symmetric_sqrt_leaves_its_argument_unchanged(rng):
+    m = rng.normal(size=(6, 6))
+    block = m @ m.T + 6.0 * np.eye(6)
+    block[0, 1] += 1e-3  # slightly asymmetric, so symmetrizing would write
+    before = block.copy()
+    symmetric_sqrt(block, "test block")
+    assert block.tobytes() == before.tobytes()
+
+
 def test_symmetric_sqrt_rejects_rank_deficient():
     block = np.diag([1.0, 1.0, 0.0])
     with pytest.raises(ConditioningError) as err:
@@ -293,6 +302,37 @@ def reference_symmetric_sqrt(block):
     return (eigvec * np.sqrt(eigval)) @ eigvec.T
 
 
+def reference_inverse_blocks(components, weights, n_periods):
+    """Between and within blocks built out of place from dense inverses:
+    ``s_eps inv(B'B) + T s_mu inv(A'A)``, the inverse of its symmetric
+    part, and the symmetric square root of that and of ``B'B / s_eps``."""
+    n = weights.n_locations
+    b = np.eye(n) - components.rho2 * weights.matrix
+    bb = b.T @ b
+    between_cov = components.sigma_eps2 * np.linalg.inv(bb)
+    if components.sigma_mu2 > 0:
+        a = np.eye(n) - components.rho1 * weights.matrix
+        between_cov = between_cov + n_periods * components.sigma_mu2 * np.linalg.inv(a.T @ a)
+    between_inv = np.linalg.inv(0.5 * (between_cov + between_cov.T))
+    return (
+        reference_symmetric_sqrt(between_inv),
+        reference_symmetric_sqrt(bb / components.sigma_eps2),
+    )
+
+
+@pytest.mark.parametrize("s_mu", [1.7, 0.0], ids=["location-effects", "no-location-effects"])
+def test_whitener_blocks_equal_out_of_place_inverse_construction(s_mu):
+    # the whitener scales, symmetrizes and square-roots its blocks in place;
+    # every operation keeps its operands and their order, so the blocks keep
+    # the bits of this out-of-place construction
+    w, _ = make_weights(80, seed=9, k=6)
+    components = vc(0.45, -0.35, s_mu, 0.8)
+    op = random_effects_whitener(components, w, 4)
+    between, within = reference_inverse_blocks(components, w, 4)
+    assert np.array_equal(op.between_block, between)
+    assert np.array_equal(op.within_block, within)
+
+
 def unnormalized_weights(n, seed):
     # row sums of 1.2, so |rho| * max row sum exceeds one for |rho| > 0.84
     # and the filter's LU test runs
@@ -383,9 +423,10 @@ def test_random_effects_whitener_peak_memory():
         tracemalloc.stop()
     # n x n float blocks alive at once: 17 in the dense-solve construction
     # with its LU factors and identity right-hand sides, 5 while each
-    # consumed block stayed alive through its eigh, 4 now.  tracemalloc
-    # sees numpy's arrays only, not LAPACK's copies and workspace; the
-    # resident-memory test below counts those.
+    # consumed block stayed alive through its eigh, 4 now that each eigh's
+    # input receives its root.  tracemalloc sees numpy's arrays only, not
+    # LAPACK's copies and workspace; the resident-memory test below counts
+    # those.
     assert peak / (n * n * 8) <= 4.5
 
 
@@ -413,7 +454,7 @@ print((peak_rss_kb() - before) * 1024 / (n * n * 8))
 def test_random_effects_whitener_resident_memory():
     # growth of the peak resident set across the whitener in a fresh
     # process, LAPACK's input copies and eigh workspace included: 7.9 n x n
-    # blocks while each consumed block stayed alive through its eigh, 5.9
+    # blocks while each consumed block stayed alive through its eigh, 5.8
     # now.  The peak is read as VmHWM: ru_maxrss would start at the
     # spawning test process's own peak, which Linux carries across exec.
     n = 1000
