@@ -7,13 +7,15 @@ squares; ties go to the lower column index), and moves the fit a fraction
 ``learning_rate`` of the way toward that univariate solution.  The
 empirical risk ||y - eta||^2 / n is recorded after every iteration.
 
-One kernel, ``_gram_path``, runs the final fit (``boost``) and the
-deselection refit.  It updates the correlations through cached Gram
-columns, in O(k) per iteration, then replays the path on a held-out
-response, which for ``boost`` is the training response itself.  The folds
-of a cross-validation curve run the same arithmetic: through this kernel
-one at a time when a fold is large, and otherwise stacked with other folds
-in ``crossval``'s lockstep, which keeps every operation and so every bit.
+One kernel, ``_gram_path``, runs the final fit (``boost``), the
+deselection refit and every cross-validation fold.  It updates the
+correlations through Gram rows its caller supplies, in O(k) per
+iteration, then replays the path on a held-out response, which for
+``boost`` is the training response itself.  ``boost`` and the refit pass
+their own products ``Z'z_j``.  A cross-validation fold passes rows of one
+``Z'Z`` per curve less its held-out part, so its path equals that of
+``boost`` on its training rows up to rounding; ``crossval`` runs small
+folds stacked in a lockstep that keeps every operation and so every bit.
 Only the coefficients of the boosted preliminary residuals come from a
 direct loop that recomputes ``Z'r``, ``_direct_coefficients``, kept for the
 bits it pins.
@@ -87,18 +89,18 @@ class DeselectionResult:
     refit: BoostFit | None
 
 
-def _screen_columns(
-    z: np.ndarray, active: np.ndarray | None, warn_label: str | None = None
+def _screen_norms(
+    norms2: np.ndarray, active: np.ndarray | None, warn_label: str | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Inverse squared column norms, the selectable mask and the dead mask.
 
-    Identically zero columns among ``active`` (all columns when None) are
-    dropped from the selectable mask with a warning naming ``warn_label``;
-    their inverse norm is 0.
+    Columns among ``active`` (all columns when None) whose squared norm in
+    ``norms2`` is exactly zero are identically zero; they are dropped from
+    the selectable mask with a warning naming ``warn_label``, and their
+    inverse norm is 0.
     """
-    k = z.shape[1]
+    k = norms2.shape[0]
     selectable = np.ones(k, dtype=bool) if active is None else active.copy()
-    norms2 = np.einsum("ij,ij->j", z, z)
     dead = selectable & (norms2 == 0.0)
     if dead.any():
         label = f" ({warn_label})" if warn_label else ""
@@ -114,39 +116,43 @@ def _screen_columns(
     return inv_norms2, selectable, dead
 
 
+def _screen_columns(
+    z: np.ndarray, active: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_screen_norms`` of the columns of ``z``."""
+    return _screen_norms(np.einsum("ij,ij->j", z, z), active)
+
+
 def _gram_path(
-    response: np.ndarray,
-    design: np.ndarray,
+    corr: np.ndarray,
+    inv_norms2: np.ndarray,
+    selectable: np.ndarray,
+    gram_row,
     heldout_response: np.ndarray,
     heldout_columns: np.ndarray,
     learning_rate: float,
     n_iterations: int,
-    active: np.ndarray | None = None,
-    warn_label: str | None = None,
 ):
-    """``n_iterations`` boosting updates: (selection, steps, heldout_risk, dead).
+    """``n_iterations`` boosting updates: (selection, steps, heldout_risk).
 
-    ``selection[m]`` is the column chosen at iteration m and ``steps[m]`` its
-    coefficient increment.  ``heldout_risk[m]`` is the mean squared error of
-    ``heldout_response`` after m updates; ``heldout_columns`` is its design
-    transposed, so that column j is row j.  ``active`` masks the selectable
-    columns; identically zero ones are dropped with a warning naming
-    ``warn_label`` and flagged in ``dead``.
+    ``corr`` holds the starting correlations ``Z'y`` and is updated in
+    place; ``inv_norms2`` and ``selectable`` are the screen of
+    ``_screen_norms``; ``gram_row(j)`` returns the Gram row ``Z'z_j``.
+    ``selection[m]`` is the column chosen at iteration m and ``steps[m]``
+    its coefficient increment.  ``heldout_risk[m]`` is the mean squared
+    error of ``heldout_response`` after m updates; ``heldout_columns`` is
+    its design transposed, so that column j is row j.
 
-    The correlations follow ``Z'(r - s z_j) = Z'r - s Z'z_j``, with the Gram
-    column ``Z'z_j`` computed when column j is first selected, and the
-    held-out residual then replays the path through views of its columns:
-    O(k + n_out) an iteration plus O(n k) a distinct column, whose Gram
-    column is all a call keeps of it, also in ``boost``, where n_out = n.
-    Scores carry a penalty, 0 for a selectable column and -inf otherwise.
-    The outputs are allocated before the cache, not among its freed rows.
+    The correlations follow ``Z'(r - s z_j) = Z'r - s Z'z_j``, with Gram row
+    j fetched when column j is first selected, and the held-out residual
+    then replays the path through views of its columns: O(k + n_out) an
+    iteration plus one Gram row a distinct column, which is all a call
+    keeps of it.  Scores carry a penalty, 0 for a selectable column and
+    -inf otherwise.  The outputs are allocated before the cache, not among
+    its freed rows.
     """
-    z = np.asarray(design, dtype=float)
-    inv_norms2, selectable, dead = _screen_columns(z, active, warn_label)
     penalty = np.where(selectable, 0.0, -np.inf)
-
-    corr = z.T @ np.asarray(response, dtype=float)
-    grams: dict[int, np.ndarray] = {}  # column j's Gram column, once selected
+    grams: dict[int, np.ndarray] = {}  # Gram row j, once column j is selected
     d_out = np.array(heldout_response, dtype=float)
     scores = np.empty_like(corr)
     corr_step = np.empty_like(corr)
@@ -162,7 +168,7 @@ def _gram_path(
         step = learning_rate * corr.item(j) * inv_norms2.item(j)
         gram = grams.get(j)
         if gram is None:
-            gram = grams[j] = z.T @ z[:, j]
+            gram = grams[j] = gram_row(j)
         corr -= np.multiply(gram, step, out=corr_step)
         selection[m] = j
         steps[m] = step
@@ -171,7 +177,7 @@ def _gram_path(
         d_out -= np.multiply(heldout_columns[j], step, out=out_step)
         risk_out[m] = d_out @ d_out
     risk_out /= len(d_out)
-    return selection, steps, risk_out, dead
+    return selection, steps, risk_out
 
 
 def _direct_coefficients(
@@ -236,15 +242,18 @@ def boost(
         if not active.any():
             raise NoLearnerError("active column set is empty")
 
+    z = np.asarray(td.design, dtype=float)
+    inv_norms2, selectable, dead = _screen_columns(z, active)
     # the training rows are the held-out pair: their risk is the risk path
-    selection, steps, risk, dead = _gram_path(
+    selection, steps, risk = _gram_path(
+        z.T @ np.asarray(td.response, dtype=float),
+        inv_norms2,
+        selectable,
+        lambda j: z.T @ z[:, j],
         td.response,
-        td.design,
-        td.response,
-        td.design.T,
+        z.T,
         config.learning_rate,
         n_iterations,
-        active=active,
     )
     coef = np.zeros(td.n_columns)
     np.add.at(coef, selection, steps)

@@ -9,12 +9,16 @@ seeded restarts at once as arrays, and equal bit for bit to scipy's
 hold out one whole period at a time.  The risk curve evaluates held-out
 risk after every boosting iteration and averages it across folds (the
 fold-wise ``cvrisk`` of Hofner et al. 2014); its minimizer is the stopping
-iteration.  Small folds, of one fit or of all the replications of a
-simulation, are boosted side by side in lockstep batches of at most
-``CV_BATCH_ENTRIES`` stacked values, so that the folds of a simulation's
-replications usually share one batch; a fold with a wide design or a long
-held-out set (over ``CV_FOLD_ENTRIES`` values) runs alone through the
-boosting kernel.  Both give each fold the kernel's bits.
+iteration.  The folds of a curve take their Gram rows from one ``Z'Z``,
+built in matrix-matrix blocks, less each fold's held-out part
+(``_Fold``), so each fold's path is that of ``boost`` on its training rows
+up to rounding, with exact ties kept.  Small folds, of one fit or of all
+the replications of a simulation, are boosted side by side in lockstep
+batches of at most ``CV_BATCH_ENTRIES`` stacked values, so that the folds
+of a simulation's replications usually share one batch; a fold with a
+wide design or a long held-out set (over ``CV_FOLD_ENTRIES`` values) runs
+alone through the boosting kernel.  Both give each fold the kernel's bits
+on the same inputs.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boosting import BoostConfig, _gram_path, _screen_columns
+from .boosting import BoostConfig, _gram_path, _screen_norms
 from .errors import DegenerateGeometryError, ValidationError
 from .weights import _read_only
 
@@ -47,6 +51,15 @@ CV_FOLD_ENTRIES = 65_536
 CV_BATCH_ENTRIES = 524_288
 # held-out residuals kept between two evaluations of their risks
 CV_HISTORY_STEPS = 16
+# a curve's Z'Z is built this many rows at a time, as matrix-matrix
+# products, and only its upper triangle is kept: the full Z'Z (5.1 MB at
+# k = 801) peaked 2.7 MB higher in fit-wide loops at a fixed op count
+GRAM_BLOCK = 64
+# a column whose training rows hold less than this share of its squared
+# norm takes its Gram entries from the training rows: the rounding error of
+# the difference of the full and held-out products, against the training
+# norms, grows as 1 / share
+CV_DIRECT_SHARE = 1 / 16
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
@@ -254,17 +267,110 @@ def _fold_entries(n_columns: int, n_out: int) -> int:
     return n_columns * (n_columns + n_out) + (CV_HISTORY_STEPS + 1) * n_out
 
 
+def _gram(z: np.ndarray) -> list:
+    """The upper triangle of ``Z'Z`` in row blocks of ``GRAM_BLOCK`` columns.
+
+    Block b holds the products of the design's columns s to s +
+    ``GRAM_BLOCK`` (s = b ``GRAM_BLOCK``) with its columns from s on, one
+    matrix-matrix product each.  ``_gram_row`` reads a full row from them.
+    """
+    return [z[:, s : s + GRAM_BLOCK].T @ z[:, s:] for s in range(0, z.shape[1], GRAM_BLOCK)]
+
+
+def _gram_row(gram: list, j: int) -> np.ndarray:
+    """Row j of ``Z'Z``: column j of the blocks above its own, then its own row."""
+    b, r = divmod(j, GRAM_BLOCK)
+    above = [block[:, j - a * GRAM_BLOCK] for a, block in enumerate(gram[:b])]
+    return np.concatenate(above + [gram[b][r]])
+
+
+def _representatives(z: np.ndarray, train: np.ndarray, corr: np.ndarray, norms2: np.ndarray):
+    """Each column's lowest-indexed copy on the training rows; None if none repeats.
+
+    Candidates are columns whose starting correlation and training norm
+    are bitwise equal; each is confirmed by an exact comparison of its
+    training rows with those of a lower candidate.
+    """
+    keys = np.stack((corr, norms2)).view(np.int64)
+    order = np.lexsort(keys)
+    ordered = keys[:, order]
+    new = np.r_[True, (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)]
+    if new.all():
+        return None
+    group = np.empty_like(order)
+    group[order] = np.cumsum(new)
+    rep = np.arange(z.shape[1])
+    for g in np.flatnonzero(np.bincount(group) > 1):
+        copies = np.flatnonzero(group == g)
+        for pos, j in enumerate(copies[1:], 1):
+            for i in copies[:pos]:
+                if rep[i] == i and np.array_equal(z[train, i], z[train, j]):
+                    rep[j] = i
+                    break
+    return rep
+
+
+class _Fold:
+    """One fold's boosting inputs, derived from its problem's ``Z'Z``.
+
+    Built from ``(response, design, gram, train, warn_label)``, with
+    ``train`` the fold's boolean training mask w:
+
+    * ``corr``, the starting correlations ``Z'(w∘y)``;
+    * ``inv_norms2`` and ``selectable``, the screen of the training norms
+      ``Σ w z²``, exactly zero for a column that is zero on every training
+      row, which is dropped with a warning naming ``warn_label``;
+    * ``response`` and ``columns``, the held-out response and design, the
+      latter transposed;
+    * ``row(j)``, Gram row j of the training rows, ``Z'(w∘z_j)``.
+
+    Gram row j is ``G[j] - Z_out'z_out,j``.  That difference cancels where
+    a column's training rows hold little of its squared norm, so the
+    entries of a column under ``CV_DIRECT_SHARE`` of it (a column dead in
+    the training rows among them) are taken from the training rows
+    directly, and so is the whole row of such a column.  Columns equal on
+    the training rows take their entries from the lowest such column
+    (``_representatives``), so that their correlations stay bitwise equal
+    and an exact tie still goes to the lower index.
+    """
+
+    def __init__(self, y, z, gram, train, warn_label):
+        self.corr = z.T @ np.where(train, y, 0.0)
+        norms2 = np.einsum("ij,i,ij->j", z, train.astype(float), z)
+        self.inv_norms2, self.selectable, _ = _screen_norms(norms2, None, warn_label)
+        self.response = y[~train]
+        self.columns = np.ascontiguousarray(z[~train].T)
+        self.z, self.train, self.gram = z, train, gram
+        diagonal = np.concatenate([np.diagonal(block) for block in gram])
+        self.is_direct = norms2 < CV_DIRECT_SHARE * diagonal
+        self.direct = np.flatnonzero(self.is_direct)
+        self.z_direct = z[:, self.direct]
+        self.rep = _representatives(z, train, self.corr, norms2)
+
+    def row(self, j: int) -> np.ndarray:
+        """Gram row j of the training rows."""
+        if self.is_direct[j]:
+            row = self.z.T @ np.where(self.train, self.z[:, j], 0.0)
+        else:
+            row = _gram_row(self.gram, j)
+            row -= self.columns @ self.columns[j]
+            if self.direct.size:
+                row[self.direct] = np.where(self.train, self.z[:, j], 0.0) @ self.z_direct
+        return row if self.rep is None else row[self.rep]
+
+
 def _lockstep_risks(folds: list, learning_rate: float, n_iterations: int) -> np.ndarray:
     """Held-out risk paths of several folds boosted side by side.
 
-    ``folds`` holds ``(response, design, train, test, warn_label)`` tuples;
-    row b of the returned ``(folds, n_iterations + 1)`` array equals
-    ``_gram_path``'s ``heldout_risk`` on fold b bit for bit, because every
-    operation is the kernel's own:
+    ``folds`` holds the ``(response, design, gram, train, warn_label)``
+    arguments of each fold's ``_Fold``; row b of the returned ``(folds,
+    n_iterations + 1)`` array equals ``_gram_path``'s ``heldout_risk`` on
+    fold b's inputs bit for bit, because every operation is the kernel's
+    own:
 
-    * the screen, ``Z'y`` and each Gram column ``Z'z_j`` are the same calls
-      on the same training rows, all columns up front, so no training
-      design outlives the set-up;
+    * the screen, the starting correlations and every Gram row come from
+      the fold's ``_Fold``, all rows up front, so that no fold's inputs
+      outlive the set-up;
     * the scores, steps and updates are elementwise on arrays stacked along
       a leading fold axis (columns padded with a -inf penalty, held-out rows
       with zeros), with one ``argmax`` per row;
@@ -277,24 +383,24 @@ def _lockstep_risks(folds: list, learning_rate: float, n_iterations: int) -> np.
     """
     n_folds = len(folds)
     width = max(z.shape[1] for _, z, *_ in folds)
-    n_outs = np.array([int(test.sum()) for *_, test, _ in folds])
+    n_outs = np.array([int((~train).sum()) for *_, train, _ in folds])
     corr = np.zeros((n_folds, width))
     inv_norms2 = np.zeros((n_folds, width))
     penalty = np.full((n_folds, width), -np.inf)
-    # row ``b * width + j``: fold b's Gram column j, then its held-out
-    # values, so that one gather fetches both
+    # row ``b * width + j``: fold b's Gram row j, then its held-out values,
+    # so that one gather fetches both
     cache = np.zeros((n_folds * width, width + n_outs.max()))
     history = np.zeros((CV_HISTORY_STEPS + 1, n_folds, n_outs.max()))
-    for b, (y, z, train, test, warn_label) in enumerate(folds):
-        zt = z[train]
-        k = zt.shape[1]
-        inv_norms2[b, :k], selectable, _ = _screen_columns(zt, None, warn_label)
-        penalty[b, :k][selectable] = 0.0
-        corr[b, :k] = zt.T @ y[train]
+    for b, args in enumerate(folds):
+        fold = _Fold(*args)
+        k = fold.corr.shape[0]
+        inv_norms2[b, :k] = fold.inv_norms2
+        penalty[b, :k][fold.selectable] = 0.0
+        corr[b, :k] = fold.corr
         for j in range(k):
-            cache[b * width + j, :k] = zt.T @ zt[:, j]
-        cache[b * width : b * width + k, width : width + n_outs[b]] = z[test].T
-        history[0, b, : n_outs[b]] = y[test]
+            cache[b * width + j, :k] = fold.row(j)
+        cache[b * width : b * width + k, width : width + n_outs[b]] = fold.columns
+        history[0, b, : n_outs[b]] = fold.response
 
     offsets = np.arange(n_folds) * width
     scores = np.empty((n_folds, width))
@@ -337,52 +443,59 @@ def _lockstep_risks(folds: list, learning_rate: float, n_iterations: int) -> np.
 def _cv_curves(problems: list, config: BoostConfig) -> list:
     """The ``boost_cv_curve`` of each ``(response, design, plan)`` problem.
 
-    The folds of all problems are taken in order and run in lockstep
-    batches whose stacked state (``_fold_entries`` per fold, at the batch's
-    widest design and longest held-out set) stays within
-    ``CV_BATCH_ENTRIES`` values.  A fold over ``CV_FOLD_ENTRIES`` values,
-    or one that would batch alone, runs through ``_gram_path`` by itself,
-    after the batch before it.  Either way each fold's risk path has the
-    per-fold kernel's bits.  The paths are kept in fold order, and each
-    problem's curve is one ``np.mean`` over its own folds' paths, taken at
-    the end.
+    Each problem's ``Z'Z`` triangle is built once (``_gram``), when its
+    first fold is reached, and released after its last fold has run;
+    every fold of it takes its inputs from it through ``_Fold``.  The
+    folds of all problems are taken in order and run in lockstep batches
+    whose stacked state (``_fold_entries`` per fold, at the batch's widest
+    design and longest held-out set) stays within ``CV_BATCH_ENTRIES``
+    values.  A fold over ``CV_FOLD_ENTRIES`` values, or one that would
+    batch alone, runs through ``_gram_path`` by itself, after the batch
+    before it.  Either way each fold's risk path has the kernel's bits on
+    its ``_Fold``.  The paths are kept in fold order, and each problem's
+    curve is one ``np.mean`` over its own folds' paths, taken at the end.
     """
-    folds = []
+    # each fold's risk path, in fold order, allocated before any Gram that
+    # it outlives
+    paths = np.empty((sum(plan.n_folds for *_, plan in problems), config.m_stop + 1))
+    done = 0
+
+    def run(batch):
+        nonlocal done
+        rate, m_stop = config.learning_rate, config.m_stop
+        if len(batch) > 1:
+            paths[done : done + len(batch)] = _lockstep_risks(batch, rate, m_stop)
+        else:
+            f = _Fold(*batch[0])
+            paths[done] = _gram_path(
+                f.corr, f.inv_norms2, f.selectable, f.row, f.response, f.columns, rate, m_stop
+            )[2]
+        done += len(batch)
+
+    batch: list = []
+    width = depth = 0
     for y, z, plan in problems:
         y = np.asarray(y, dtype=float)
         z = np.asarray(z, dtype=float)
         if y.shape[0] != plan.assignment.shape[0] or z.shape[0] != y.shape[0]:
             raise ValidationError("data and fold plan have different numbers of rows")
+        gram = _gram(z)
+        k = z.shape[1]
         for f in range(plan.n_folds):
             train = plan.assignment != f
-            folds.append((y, z, train, ~train, f"fold {f} training data"))
-
-    paths: list = []  # each fold's risk path, in fold order
-
-    def run(batch):
-        rate, m_stop = config.learning_rate, config.m_stop
-        if len(batch) > 1:
-            paths.extend(_lockstep_risks(batch, rate, m_stop))
-            return
-        y, z, train, test, label = batch[0]
-        zt = np.ascontiguousarray(z[test].T)
-        paths.append(_gram_path(y[train], z[train], y[test], zt, rate, m_stop, warn_label=label)[2])
-
-    batch: list = []
-    width = depth = 0
-    for fold in folds:
-        _, z, _, test, _ = fold
-        k, n_out = z.shape[1], int(test.sum())
-        alone = _fold_entries(k, n_out) > CV_FOLD_ENTRIES
-        entries = _fold_entries(max(width, k), max(depth, n_out))
-        if batch and (alone or (len(batch) + 1) * entries > CV_BATCH_ENTRIES):
-            run(batch)
-            batch, width, depth = [], 0, 0
-        if alone:
-            run([fold])
-            continue
-        batch.append(fold)
-        width, depth = max(width, k), max(depth, n_out)
+            fold = (y, z, gram, train, f"fold {f} training data")
+            n_out = train.size - int(train.sum())
+            alone = _fold_entries(k, n_out) > CV_FOLD_ENTRIES
+            entries = _fold_entries(max(width, k), max(depth, n_out))
+            if batch and (alone or (len(batch) + 1) * entries > CV_BATCH_ENTRIES):
+                run(batch)
+                batch, width, depth = [], 0, 0
+            if alone:
+                run([fold])
+                continue
+            batch.append(fold)
+            width, depth = max(width, k), max(depth, n_out)
+        del gram, fold  # a curve's Gram goes with its last fold
     if batch:
         run(batch)
     ends = np.cumsum([plan.n_folds for *_, plan in problems])
@@ -404,14 +517,18 @@ def boost_cv_curve(
 
     Each fold's risk path is that of the one boosting kernel
     (``boosting._gram_path``) on its training rows, with its held-out rows
-    as the held-out pair, so the curve is the held-out risk of the very
-    selection path and steps that ``boost`` would take on those training
-    rows.  The folds run in lockstep, stacked along a leading fold axis,
-    when each fold's Gram and held-out caches hold at most
+    as the held-out pair.  Its Gram rows are those of the design's ``Z'Z``,
+    built once per curve, less the fold's held-out part, so the path equals
+    the one ``boost`` would take on the training rows up to rounding, and
+    an exact tie between columns equal on the training rows still goes to
+    the lower index.  The folds run in lockstep, stacked along a leading
+    fold axis, when each fold's Gram and held-out caches hold at most
     ``CV_FOLD_ENTRIES`` values (small designs and held-out sets, as in the
     simulations); otherwise each runs alone through the kernel, which is
-    faster there.  The lockstep keeps every arithmetic operation of the
-    kernel, so the curve has the same bits either way.
+    faster there.  Both take the same inputs and the lockstep keeps every
+    arithmetic operation of the kernel, so the curve has the same bits
+    either way.  The curve holds one ``Z'Z`` triangle while it runs: 2.6 MiB
+    at k = 801.
     """
     return _cv_curves([(response, design, plan)], config)[0]
 

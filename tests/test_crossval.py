@@ -15,14 +15,19 @@ from spboost.boosting import (
     _direct_coefficients,
     _gram_path,
     _screen_columns,
+    _screen_norms,
     boost,
     deselect,
 )
 from spboost.crossval import (
+    CV_DIRECT_SHARE,
+    GRAM_BLOCK,
     KMEANS_MAX_ITER,
     KMEANS_RESTARTS,
     FoldKind,
     FoldPlan,
+    _Fold,
+    _gram,
     _kmeans_restarts,
     boost_cv_curve,
     choose_stopping_iteration,
@@ -581,23 +586,18 @@ def test_direct_coefficients_are_bitwise_the_direct_reference_over_seeds():
         assert np.array_equal(_direct_coefficients(y, z, 0.1, m), expected), seed
 
 
-def _reference_cv_risk_path(
-    response, design, heldout_response, heldout_design, learning_rate, n_iterations, warn_label,
-    active=None,
+def _reference_path(
+    corr, inv_norms2, selectable, gram_row, heldout_response, heldout_design, learning_rate,
+    n_iterations,
 ):
-    """The per-fold kernel before its loop was made allocation-free.
+    """The kernel's loop before it was made allocation-free.
 
     Takes the held-out design untransposed and allocates its scores and
-    updates every iteration; the kernel in ``boosting`` must match it bit
-    for bit.  ``active`` masks the selectable columns as the kernel's does.
-    Returns (selection, steps, heldout_risk).
+    updates every iteration; ``boosting._gram_path`` must match it bit for
+    bit on the same inputs.  Returns (selection, steps, heldout_risk).
     """
-    z = np.asarray(design, dtype=float)
-    k = z.shape[1]
-    inv_norms2, selectable, _ = _screen_columns(z, active, warn_label)
-    neg_inf = np.full(k, -np.inf)
-
-    corr = z.T @ np.asarray(response, dtype=float)
+    corr = np.array(corr, dtype=float)
+    neg_inf = np.full(corr.shape[0], -np.inf)
     gram = {}
     d_out = np.array(heldout_response, dtype=float)
     selection = np.empty(n_iterations, dtype=np.int64)
@@ -609,7 +609,7 @@ def _reference_cv_risk_path(
         j = int(np.argmax(scores))
         step = learning_rate * corr[j] * inv_norms2[j]
         if j not in gram:
-            gram[j] = z.T @ z[:, j]
+            gram[j] = gram_row(j)
         corr -= step * gram[j]
         d_out -= step * heldout_design[:, j]
         selection[m] = j
@@ -618,15 +618,67 @@ def _reference_cv_risk_path(
     return selection, steps, risk_out
 
 
+def _reference_boost_path(
+    response, design, heldout_response, heldout_design, learning_rate, n_iterations, active=None
+):
+    """``_reference_path`` on the inputs ``boost`` passes: ``Z'y``, its own
+    screen and the Gram columns ``Z'z_j``; ``active`` masks the selectable
+    columns as the kernel's does."""
+    z = np.asarray(design, dtype=float)
+    inv_norms2, selectable, _ = _screen_columns(z, active)
+    return _reference_path(
+        z.T @ np.asarray(response, dtype=float), inv_norms2, selectable, lambda j: z.T @ z[:, j],
+        heldout_response, heldout_design, learning_rate, n_iterations,
+    )
+
+
+def _reference_fold(y, z, train, warn_label):
+    """A fold's inputs as ``crossval._Fold`` derives them, written out.
+
+    ``Z'Z`` is assembled in full from the same upper block products,
+    each block's transpose filling the rows below it; the copies on the
+    training rows are found by brute force.  Returns (corr, inv_norms2,
+    selectable, gram_row).
+    """
+    k = z.shape[1]
+    g = np.empty((k, k))
+    for s in range(0, k, GRAM_BLOCK):
+        block = z[:, s : s + GRAM_BLOCK].T @ z[:, s:]
+        g[s : s + GRAM_BLOCK, s:] = block
+        g[s + GRAM_BLOCK :, s : s + GRAM_BLOCK] = block[:, GRAM_BLOCK:].T
+    corr = z.T @ np.where(train, y, 0.0)
+    norms2 = np.einsum("ij,i,ij->j", z, train.astype(float), z)
+    inv_norms2, selectable, _ = _screen_norms(norms2, None, warn_label)
+    z_out = np.ascontiguousarray(z[~train].T)
+    direct = norms2 < CV_DIRECT_SHARE * np.diag(g)
+    keys = np.stack((corr, norms2)).view(np.int64)
+    rep = np.arange(k)
+    for j in range(k):
+        for i in np.flatnonzero((keys[:, :j] == keys[:, j : j + 1]).all(axis=0)):
+            if rep[i] == i and np.array_equal(z[train, i], z[train, j]):
+                rep[j] = i
+                break
+
+    def gram_row(j):
+        zj = np.where(train, z[:, j], 0.0)
+        if direct[j]:
+            return (z.T @ zj)[rep]
+        row = g[j] - z_out @ z_out[j]
+        row[direct] = zj @ z[:, direct]
+        return row[rep]
+
+    return corr, inv_norms2, selectable, gram_row
+
+
 def _reference_cv_curve(y, z, plan, cfg):
     fold_curves = []
     for f in range(plan.n_folds):
         train = plan.assignment != f
         test = ~train
         fold_curves.append(
-            _reference_cv_risk_path(
-                y[train], z[train], y[test], z[test], cfg.learning_rate, cfg.m_stop,
-                warn_label=f"fold {f} training data",
+            _reference_path(
+                *_reference_fold(y, z, train, f"fold {f} training data"),
+                y[test], z[test], cfg.learning_rate, cfg.m_stop,
             )[2]
         )
     return np.mean(fold_curves, axis=0)
@@ -687,12 +739,12 @@ def test_cv_curve_is_bitwise_the_reference_kernel_with_a_dead_column_in_one_fold
 
 
 def _assert_kernel_is_the_reference(y, z, y_out, z_out, learning_rate, n_iterations, active=None):
-    selection, steps, risk, _ = _gram_path(
-        y, z, y_out, np.ascontiguousarray(z_out.T), learning_rate, n_iterations, active=active
+    inv_norms2, selectable, _ = _screen_columns(z, active)
+    selection, steps, risk = _gram_path(
+        z.T @ y, inv_norms2, selectable, lambda j: z.T @ z[:, j],
+        y_out, np.ascontiguousarray(z_out.T), learning_rate, n_iterations,
     )
-    expected = _reference_cv_risk_path(
-        y, z, y_out, z_out, learning_rate, n_iterations, None, active=active
-    )
+    expected = _reference_boost_path(y, z, y_out, z_out, learning_rate, n_iterations, active)
     assert selection.dtype == np.int64 and steps.dtype == np.float64
     for got, want in zip((selection, steps, risk), expected):
         assert got.shape == want.shape and np.array_equal(got, want)
@@ -712,9 +764,7 @@ def test_kernel_is_bitwise_the_reference_on_a_deselection_refit():
         assert 0 < active.sum() < z.shape[1], seed
         _assert_kernel_is_the_reference(y, z, y, z, cfg.learning_rate, fit.m_used, active)
         # deselect() refits through boost(), which passes a strided view
-        expected = _reference_cv_risk_path(
-            y, z, y, z, cfg.learning_rate, fit.m_used, None, active=active
-        )
+        expected = _reference_boost_path(y, z, y, z, cfg.learning_rate, fit.m_used, active)
         assert np.array_equal(result.refit.selection_path, expected[0]), seed
         assert np.array_equal(result.refit.risk_path, expected[2]), seed
 
@@ -734,25 +784,61 @@ def test_kernel_is_bitwise_the_reference_on_an_integer_held_out_response():
 
 
 def test_lone_fold_kernel_peak_memory():
-    # A lone fold keeps at most its held-out values and its Gram column
-    # Z'z_j for each distinct column it selects, plus one entry per
-    # iteration of its paths; a full Z'Z (4.9 MiB here) would be several
-    # times the bound.
-    # Measured and dropped: one Gram product per fold cut fit-wide from
-    # 0.61 to 0.49 s but raised its peak resident memory by 3.2-3.9 MB.
+    # A lone fold keeps at most its Gram row for each distinct column it
+    # selects, plus one entry per iteration of its paths; its curve's Z'Z,
+    # its held-out columns and its starting correlations are the caller's.
+    # The Z'Z is built once per curve, in blocks, and shared by the curve's
+    # folds (see test_cv_curve_peak_memory_is_one_gram_and_one_fold).
     n_train, n_out, k, m_stop = 390, 100, 801, 1000
     y, z = _sparse_signal(np.random.default_rng(4), n_train + n_out, k)
-    y_train, z_train, y_out = y[:n_train], z[:n_train], y[n_train:]
-    z_out = np.ascontiguousarray(z[n_train:].T)
+    train = np.arange(n_train + n_out) < n_train
+    fold = _Fold(y, z, _gram(z), train, None)
     tracemalloc.start()
     try:
-        selection = _gram_path(y_train, z_train, y_out, z_out, 0.1, m_stop)[0]
+        selection = _gram_path(
+            fold.corr, fold.inv_norms2, fold.selectable, fold.row, fold.response, fold.columns,
+            0.1, m_stop,
+        )[0]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     distinct = len(np.unique(selection))
     assert distinct > 100
     assert peak < (distinct + 32) * (k + n_out) * 8 + 200 * m_stop
+
+
+def test_cv_curve_peak_memory_is_one_gram_and_one_fold(monkeypatch):
+    # fit-wide's shape: five alone folds of 100 held-out rows at k = 801.
+    # The curve holds one Z'Z triangle, one fold's held-out columns and the
+    # lone-fold bound above, never a copy of a fold's training rows.
+    # Measured and dropped: the full k x k Z'Z (5.1 MB here) peaked 2.7 MB
+    # higher in fit-wide loops at a fixed op count.
+    n, t, k, m_stop = 100, 5, 801, 1000
+    rng = np.random.default_rng(4)
+    y, z = _sparse_signal(rng, n * t, k)
+    plan = random_fold_plan(rng, n, t, 5)
+    n_out, n_train = n * t // 5, n * t - n * t // 5
+    distinct = []
+    real = spboost.crossval._gram_path
+
+    def counted(*args):
+        selection, steps, risk = real(*args)
+        distinct.append(len(np.unique(selection)))
+        return selection, steps, risk
+
+    monkeypatch.setattr(spboost.crossval, "_gram_path", counted)
+    tracemalloc.start()
+    try:
+        boost_cv_curve(y, z, plan, BoostConfig(m_stop=m_stop))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(distinct) == 5 and min(distinct) > 100
+    gram = sum(block.nbytes for block in _gram(z))
+    assert gram < k * k * 8
+    fold = k * n_out * 8 + (max(distinct) + 32) * (k + n_out) * 8 + 200 * m_stop
+    assert fold < n_train * k * 8
+    assert peak < gram + fold
 
 
 def _batch_problems():
@@ -842,17 +928,17 @@ def test_a_fold_over_the_entry_cap_runs_alone_through_the_kernel(monkeypatch):
     curves = spboost.crossval._cv_curves(problems, cfg)
     # each of the wide problem's three folds ran alone, no lockstep batch
     # held one of them, and the narrow problems still batched
-    assert [a[1].shape[1] for a in alone].count(60) == 3
+    assert [a[0].shape[0] for a in alone].count(60) == 3
     assert batches and all(z.shape[1] < 60 for b in batches for _, z, *_ in b[0])
     for (y, z, plan), curve in zip(problems, curves):
         assert np.array_equal(curve, _reference_cv_curve(y, z, plan, cfg))
 
 
 def _kernel_risk(fold, cfg):
-    y, z, train, test, warn_label = fold
+    f = _Fold(*fold)
     return _gram_path(
-        y[train], z[train], y[test], np.ascontiguousarray(z[test].T),
-        cfg.learning_rate, cfg.m_stop, warn_label=warn_label,
+        f.corr, f.inv_norms2, f.selectable, f.row, f.response, f.columns,
+        cfg.learning_rate, cfg.m_stop,
     )[2]
 
 
@@ -862,7 +948,7 @@ def _held_out_fold(rng, n_out, b):
     y, z = _sparse_signal(rng, rows, int(rng.integers(4, 15)))
     test = np.zeros(rows, dtype=bool)
     test[rng.choice(rows, size=n_out, replace=False)] = True
-    return y, z, ~test, test, f"fold {b} training data"
+    return y, z, _gram(z), ~test, f"fold {b} training data"
 
 
 def test_lockstep_risks_grouped_by_held_out_length_are_bitwise_the_kernel():
@@ -886,7 +972,7 @@ def test_lockstep_risks_grouped_by_held_out_length_are_bitwise_the_kernel():
     cases.append(("falling", BoostConfig(learning_rate=0.2, m_stop=45), folds))
     shared = unique = 0
     for seed, cfg, folds in cases:
-        lengths = [int(f[3].sum()) for f in folds]
+        lengths = [int((~f[3]).sum()) for f in folds]
         shared += sum(lengths.count(n) > 1 for n in lengths)
         unique += sum(lengths.count(n) == 1 for n in lengths)
         risks = spboost.crossval._lockstep_risks(folds, cfg.learning_rate, cfg.m_stop)
@@ -907,10 +993,7 @@ def test_lockstep_screens_its_folds_in_fold_order():
     for f in range(3):
         z[plan.assignment != f, f + 1] = 0.0
     y = z @ np.array([1.0, 2.0, -1.0, 0.5]) + 0.1 * rng.normal(size=n * t)
-    folds = [
-        (y, z, plan.assignment != f, plan.assignment == f, f"fold {f} training data")
-        for f in range(3)
-    ]
+    folds = [(y, z, _gram(z), plan.assignment != f, f"fold {f} training data") for f in range(3)]
     cfg = BoostConfig(m_stop=40)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -965,22 +1048,29 @@ def test_a_long_or_wide_fold_runs_alone_through_the_kernel(monkeypatch, n, t, k)
     curves = spboost.crossval._cv_curves(problems, cfg)
     # the large problem's folds ran one at a time, in order between the
     # batches of the small problems before and after it
-    assert [a[1].shape[1] for a in alone] == [k] * 5
+    assert [a[0].shape[0] for a in alone] == [k] * 5
     assert [len(b[0]) for b in batches] == [5, 5]
     for (y, z, plan), curve in zip(problems, curves):
         assert np.array_equal(curve, _reference_cv_curve(y, z, plan, cfg))
 
 
-def test_cv_curve_duplicated_column_tie_goes_to_lower_index():
+def _duplicated_column_problem():
+    """Column 3 copies column 1 exactly in fold 0's training rows only."""
     rng = np.random.default_rng(11)
     n, t = 12, 2
     plan = two_fold_plan(n, t)
     z = rng.normal(size=(n * t, 5))
     train0 = plan.assignment != 0
-    # Column 3 copies column 1 exactly in fold 0's training rows; on its
-    # held-out rows it differs, so the curve shows which copy was taken.
     z[train0, 3] = z[train0, 1]
     y = 2.0 * z[:, 1] + 0.3 * rng.normal(size=n * t)
+    return y, z, plan
+
+
+def test_cv_curve_duplicated_column_tie_goes_to_lower_index():
+    # On its held-out rows column 3 differs from column 1, so the curve
+    # shows which copy was taken.
+    y, z, plan = _duplicated_column_problem()
+    train0 = plan.assignment != 0
     cfg = BoostConfig(m_stop=60)
     curve = boost_cv_curve(y, z, plan, cfg)
     expected, paths = boost_replay(y, z, plan, cfg)
@@ -992,6 +1082,44 @@ def test_cv_curve_duplicated_column_tie_goes_to_lower_index():
     z_swapped[~train0, 1] = z[~train0, 3]
     swapped, _ = boost_replay(y, z_swapped, plan, cfg)
     assert np.max(np.abs(curve - swapped) / swapped) > 1e-3
+
+
+def test_cv_curve_duplicated_column_tie_alone_is_bitwise_the_lockstep(monkeypatch):
+    # the same tie through the lone-fold path: both folds run alone, take the
+    # same inputs and so give the lockstep's bits
+    y, z, plan = _duplicated_column_problem()
+    cfg = BoostConfig(m_stop=60)
+    lockstep = boost_cv_curve(y, z, plan, cfg)
+    monkeypatch.setattr(spboost.crossval, "CV_FOLD_ENTRIES", 0)
+    batches = _spy(monkeypatch, "_lockstep_risks")
+    alone = _spy(monkeypatch, "_gram_path")
+    curve = boost_cv_curve(y, z, plan, cfg)
+    assert batches == [] and len(alone) == 2
+    assert np.array_equal(curve, lockstep)
+    assert np.array_equal(curve, _reference_cv_curve(y, z, plan, cfg))
+
+
+@pytest.mark.parametrize("fold_entries", [65_536, 0], ids=["lockstep", "alone"])
+def test_cv_curve_keeps_a_column_small_on_training_rows(monkeypatch, fold_entries):
+    # Column 9 is about 1e-6 on fold 0's training rows and O(1) on its
+    # held-out rows, so its full-panel Gram entries are about 1e6 times its
+    # training ones; fold 0 selects it, with steps of order 1e5.  The
+    # curve must still follow the direct reference, which recomputes Z'r.
+    monkeypatch.setattr(spboost.crossval, "CV_FOLD_ENTRIES", fold_entries)
+    n, t, k = 20, 3, 10
+    cfg = BoostConfig(m_stop=300)
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        plan = two_fold_plan(n, t)
+        y, z = _sparse_signal(rng, n * t, k)
+        z[:, 9] = rng.normal(size=n * t)
+        z[plan.assignment != 0, 9] *= 1e-6
+        curve = boost_cv_curve(y, z, plan, cfg)
+        expected, paths = boost_replay(y, z, plan, cfg)
+        assert 9 in paths[0], seed
+        assert np.max(np.abs(curve - expected) / expected) <= 1e-10, seed
+        assert choose_stopping_iteration(curve) == choose_stopping_iteration(expected), seed
+        assert np.array_equal(curve, _reference_cv_curve(y, z, plan, cfg)), seed
 
 
 def test_cv_curve_excludes_column_zero_in_one_folds_training_rows():

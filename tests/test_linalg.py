@@ -454,10 +454,14 @@ print((peak_rss_kb() - before) * 1024 / (n * n * 8))
 def test_random_effects_whitener_resident_memory():
     # growth of the peak resident set across the whitener in a fresh
     # process, LAPACK's input copies and eigh workspace included: 7.9 n x n
-    # blocks while each consumed block stayed alive through its eigh, 5.8
+    # blocks while each consumed block stayed alive through its eigh, 5.4
     # now.  The peak is read as VmHWM: ru_maxrss would start at the
     # spawning test process's own peak, which Linux carries across exec.
-    n = 1000
+    # At n = 1500 every block is memory-mapped; at n = 1000 the reading
+    # followed glibc's heap layout, and swapping two bit-identical steps
+    # moved it from 5.75 to 6.75 blocks, while both orders read 5.2-5.4
+    # blocks here.
+    n = 1500
     out = subprocess.run(
         [sys.executable, "-c", RSS_GROWTH_SCRIPT, str(n)],
         capture_output=True,
