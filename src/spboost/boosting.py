@@ -13,9 +13,11 @@ correlations through Gram rows its caller supplies, in O(k) per
 iteration, then replays the path on a held-out response, which for
 ``boost`` is the training response itself.  ``boost`` and the refit pass
 their own products ``Z'z_j``.  A cross-validation fold passes rows of one
-``Z'Z`` per curve less its held-out part, so its path equals that of
-``boost`` on its training rows up to rounding; ``crossval`` runs small
-folds stacked in a lockstep that keeps every operation and so every bit.
+``Z'Z`` per curve less its held-out part, or, when that ``Z'Z`` would
+outgrow the design, products over its training rows, so its path equals
+that of ``boost`` on its training rows up to rounding; ``crossval`` runs
+small folds stacked in a lockstep that keeps every operation and so every
+bit.
 Only the coefficients of the boosted preliminary residuals come from a
 direct loop that recomputes ``Z'r``, ``_direct_coefficients``, kept for the
 bits it pins.

@@ -10,15 +10,17 @@ hold out one whole period at a time.  The risk curve evaluates held-out
 risk after every boosting iteration and averages it across folds (the
 fold-wise ``cvrisk`` of Hofner et al. 2014); its minimizer is the stopping
 iteration.  The folds of a curve take their Gram rows from one ``Z'Z``,
-built in matrix-matrix blocks, less each fold's held-out part
-(``_Fold``), so each fold's path is that of ``boost`` on its training rows
-up to rounding, with exact ties kept.  Small folds, of one fit or of all
-the replications of a simulation, are boosted side by side in lockstep
-batches of at most ``CV_BATCH_ENTRIES`` stacked values, so that the folds
-of a simulation's replications usually share one batch; a fold with a
-wide design or a long held-out set (over ``CV_FOLD_ENTRIES`` values) runs
-alone through the boosting kernel.  Both give each fold the kernel's bits
-on the same inputs.
+built in matrix-matrix blocks while it holds no more values than the
+design, less each fold's held-out part (``_Fold``); past that bound each
+takes them from its training rows.  Either way each fold's path is that of
+``boost`` on its training rows up to rounding, and exact ties between
+columns identical on them go to the lower index.  Small folds, of one fit
+or of all the replications of a simulation, are boosted side by side in
+lockstep batches of at most ``CV_BATCH_ENTRIES`` stacked values, so that
+the folds of a simulation's replications usually share one batch; a fold
+with a wide design or a long held-out set (over ``CV_FOLD_ENTRIES``
+values) runs alone through the boosting kernel.  Both give each fold the
+kernel's bits on the same inputs.
 """
 
 from __future__ import annotations
@@ -53,7 +55,9 @@ CV_BATCH_ENTRIES = 524_288
 CV_HISTORY_STEPS = 16
 # a curve's Z'Z is built this many rows at a time, as matrix-matrix
 # products, and only its upper triangle is kept: the full Z'Z (5.1 MB at
-# k = 801) peaked 2.7 MB higher in fit-wide loops at a fixed op count
+# k = 801) peaked 2.7 MB higher in fit-wide loops at a fixed op count.  It
+# is built only while its k (k + GRAM_BLOCK) / 2 values are no more than
+# the design's n k, that is while k + GRAM_BLOCK <= 2 n (``_has_gram``)
 GRAM_BLOCK = 64
 # a column whose training rows hold less than this share of its squared
 # norm takes its Gram entries from the training rows: the rounding error of
@@ -267,6 +271,12 @@ def _fold_entries(n_columns: int, n_out: int) -> int:
     return n_columns * (n_columns + n_out) + (CV_HISTORY_STEPS + 1) * n_out
 
 
+def _has_gram(n_rows: int, n_columns: int) -> bool:
+    """Whether a curve on an ``n_rows`` x ``n_columns`` design builds its Z'Z
+    triangle: only while it holds no more values than the design itself."""
+    return n_columns + GRAM_BLOCK <= 2 * n_rows
+
+
 def _gram(z: np.ndarray) -> list:
     """The upper triangle of ``Z'Z`` in row blocks of ``GRAM_BLOCK`` columns.
 
@@ -314,7 +324,8 @@ class _Fold:
     """One fold's boosting inputs, derived from its problem's ``Z'Z``.
 
     Built from ``(response, design, gram, train, warn_label)``, with
-    ``train`` the fold's boolean training mask w:
+    ``gram`` the design's ``_gram`` or None and ``train`` the fold's
+    boolean training mask w:
 
     * ``corr``, the starting correlations ``Z'(w∘y)``;
     * ``inv_norms2`` and ``selectable``, the screen of the training norms
@@ -328,28 +339,38 @@ class _Fold:
     a column's training rows hold little of its squared norm, so the
     entries of a column under ``CV_DIRECT_SHARE`` of it (a column dead in
     the training rows among them) are taken from the training rows
-    directly, and so is the whole row of such a column.  Columns equal on
-    the training rows take their entries from the lowest such column
-    (``_representatives``), so that their correlations stay bitwise equal
-    and an exact tie still goes to the lower index.
+    directly, and so is the whole row of such a column.  Without a
+    ``gram`` the fold copies its training rows and takes its correlations,
+    norms and rows from the copy, with the arithmetic of ``boost`` on
+    them.  Columns identical on the training rows take their entries from
+    the lowest such column (``_representatives``), so that their
+    correlations stay bitwise equal and an exact tie between them still
+    goes to the lower index.
     """
 
     def __init__(self, y, z, gram, train, warn_label):
-        self.corr = z.T @ np.where(train, y, 0.0)
-        norms2 = np.einsum("ij,i,ij->j", z, train.astype(float), z)
-        self.inv_norms2, self.selectable, _ = _screen_norms(norms2, None, warn_label)
         self.response = y[~train]
         self.columns = np.ascontiguousarray(z[~train].T)
+        if gram is None:
+            self.z_train = z[train]
+            self.corr = self.z_train.T @ y[train]
+            norms2 = np.einsum("ij,ij->j", self.z_train, self.z_train)
+        else:
+            self.corr = z.T @ np.where(train, y, 0.0)
+            norms2 = np.einsum("ij,i,ij->j", z, train.astype(float), z)
+            diagonal = np.concatenate([np.diagonal(block) for block in gram])
+            self.is_direct = norms2 < CV_DIRECT_SHARE * diagonal
+            self.direct = np.flatnonzero(self.is_direct)
+            self.z_direct = z[:, self.direct]
+        self.inv_norms2, self.selectable, _ = _screen_norms(norms2, None, warn_label)
         self.z, self.train, self.gram = z, train, gram
-        diagonal = np.concatenate([np.diagonal(block) for block in gram])
-        self.is_direct = norms2 < CV_DIRECT_SHARE * diagonal
-        self.direct = np.flatnonzero(self.is_direct)
-        self.z_direct = z[:, self.direct]
         self.rep = _representatives(z, train, self.corr, norms2)
 
     def row(self, j: int) -> np.ndarray:
         """Gram row j of the training rows."""
-        if self.is_direct[j]:
+        if self.gram is None:
+            row = self.z_train.T @ self.z_train[:, j]
+        elif self.is_direct[j]:
             row = self.z.T @ np.where(self.train, self.z[:, j], 0.0)
         else:
             row = _gram_row(self.gram, j)
@@ -444,8 +465,9 @@ def _cv_curves(problems: list, config: BoostConfig) -> list:
     """The ``boost_cv_curve`` of each ``(response, design, plan)`` problem.
 
     Each problem's ``Z'Z`` triangle is built once (``_gram``), when its
-    first fold is reached, and released after its last fold has run;
-    every fold of it takes its inputs from it through ``_Fold``.  The
+    first fold is reached, if it holds no more values than the design
+    (``_has_gram``), and released after its last fold has run; every fold
+    of it takes its inputs from it through ``_Fold``.  The
     folds of all problems are taken in order and run in lockstep batches
     whose stacked state (``_fold_entries`` per fold, at the batch's widest
     design and longest held-out set) stays within ``CV_BATCH_ENTRIES``
@@ -479,7 +501,7 @@ def _cv_curves(problems: list, config: BoostConfig) -> list:
         z = np.asarray(z, dtype=float)
         if y.shape[0] != plan.assignment.shape[0] or z.shape[0] != y.shape[0]:
             raise ValidationError("data and fold plan have different numbers of rows")
-        gram = _gram(z)
+        gram = _gram(z) if _has_gram(*z.shape) else None
         k = z.shape[1]
         for f in range(plan.n_folds):
             train = plan.assignment != f
@@ -518,17 +540,22 @@ def boost_cv_curve(
     Each fold's risk path is that of the one boosting kernel
     (``boosting._gram_path``) on its training rows, with its held-out rows
     as the held-out pair.  Its Gram rows are those of the design's ``Z'Z``,
-    built once per curve, less the fold's held-out part, so the path equals
-    the one ``boost`` would take on the training rows up to rounding, and
-    an exact tie between columns equal on the training rows still goes to
-    the lower index.  The folds run in lockstep, stacked along a leading
+    built once per curve, less the fold's held-out part; a design with
+    k + 64 > 2 n, whose ``Z'Z`` triangle would hold more values than the
+    design itself, builds none, and each fold computes a Gram row from a
+    copy of its training rows when it first selects that column.  Either
+    way the path equals the one ``boost`` would take on the training rows
+    up to rounding, and an exact tie between columns identical on the
+    training rows still goes to the lower index; a tie between columns
+    that are only proportional there (a negated copy, say) breaks by
+    rounding.  The folds run in lockstep, stacked along a leading
     fold axis, when each fold's Gram and held-out caches hold at most
     ``CV_FOLD_ENTRIES`` values (small designs and held-out sets, as in the
     simulations); otherwise each runs alone through the kernel, which is
     faster there.  Both take the same inputs and the lockstep keeps every
     arithmetic operation of the kernel, so the curve has the same bits
     either way.  The curve holds one ``Z'Z`` triangle while it runs: 2.6 MiB
-    at k = 801.
+    at k = 801 and n = 500, about 0.86 of the design.
     """
     return _cv_curves([(response, design, plan)], config)[0]
 

@@ -225,11 +225,14 @@ class WhiteningOperator:
             raise ValidationError(f"expected {n * t} rows, got {v.shape[0]}")
         cube = v.reshape(t, n, -1)
         mean = cube.mean(axis=0)
-        # one BLAS product per period
-        out = self.within_block @ (cube - mean)
+        out = np.empty(v.shape)
+        # one BLAS product per period, each through a one-period temporary
+        blocks = out.reshape(cube.shape)
+        for p in range(t):
+            np.matmul(self.within_block, cube[p] - mean, out=blocks[p])
         if self.between_block is not None:
-            out += self.between_block @ mean
-        return out.reshape(v.shape)
+            blocks += self.between_block @ mean
+        return out
 
 
 def random_effects_whitener(

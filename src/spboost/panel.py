@@ -22,7 +22,7 @@ from .errors import (
     UnbalancedPanelError,
     ValidationError,
 )
-from .weights import SpatialWeights, _csv_rows, _read_only
+from .weights import SpatialWeights, _csv_rows, _frozen, _read_only
 
 INTERCEPT_NAME = "intercept"
 LAG_PREFIX = "W_"
@@ -279,7 +279,7 @@ def augment_design(
             raise ValidationError(f"spatial lag names collide with regressors: {sorted(clash)}")
         blocks.append(spatial_lag(x, weights, data.n_periods))
         names.extend(lag_names)
-    return AugmentedDesign(np.hstack(blocks), tuple(names))
+    return AugmentedDesign(_frozen(np.hstack(blocks)), tuple(names))
 
 
 def read_panel_csv(path: str) -> PanelDataset:

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import FixedEffectsInfeasibleError, ValidationError
 from .linalg import WhitenerMode, WhiteningOperator
 from .panel import AugmentedDesign, Effects, PanelDataset
-from .weights import _read_only
+from .weights import _frozen, _read_only
 
 
 @dataclass(frozen=True)
@@ -85,8 +85,8 @@ def transform_random(
         raise ValidationError("transform_random needs a random-effects whitener")
     _check_alignment(data, design, op)
     return TransformedData(
-        response=op.apply(data.response),
-        design=op.apply(design.columns),
+        response=_frozen(op.apply(data.response)),
+        design=_frozen(op.apply(design.columns)),
         names=design.names,
         effects=Effects.RANDOM,
         fingerprint=operator_fingerprint(op),
@@ -112,8 +112,8 @@ def transform_fixed(
     if annihilated.any():
         raise FixedEffectsInfeasibleError(design.names[int(np.argmax(annihilated))])
     return TransformedData(
-        response=op.apply(data.response),
-        design=star,
+        response=_frozen(op.apply(data.response)),
+        design=_frozen(star),
         names=design.names,
         effects=Effects.FIXED,
         fingerprint=operator_fingerprint(op),

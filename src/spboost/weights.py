@@ -44,10 +44,27 @@ def _csv_rows(path: str):
 def _read_only(value, dtype=float) -> np.ndarray:
     """A C-ordered, read-only copy of ``value`` as ``dtype``: how every frozen
     record stores its arrays, so it owns what it validated.  C order, as
-    ``ndarray.copy()`` gives, keeps later BLAS products rounding alike."""
+    ``ndarray.copy()`` gives, keeps later BLAS products rounding alike.  An
+    array that is such a copy already, owning its data, is kept rather than
+    copied again: a builder freezes what it made and hands it over."""
+    if (
+        isinstance(value, np.ndarray)
+        and value.dtype == dtype
+        and value.flags.c_contiguous
+        and value.flags.owndata
+        and not value.flags.writeable
+    ):
+        return value
     out = np.array(value, dtype=dtype, order="C")
     out.setflags(write=False)
     return out
+
+
+def _frozen(value: np.ndarray) -> np.ndarray:
+    """``value``, which its caller has just built, made read-only, so that
+    ``_read_only`` hands it to a record without a copy."""
+    value.setflags(write=False)
+    return value
 
 
 @dataclass(frozen=True)

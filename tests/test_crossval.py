@@ -516,8 +516,8 @@ def random_fold_plan(rng, n, t, n_folds):
 
 @pytest.mark.parametrize(
     "n, t, k, m_stop",
-    [(40, 5, 8, 200), (12, 3, 80, 300), (20, 3, 10, 2000)],
-    ids=["tall", "wide", "long"],
+    [(40, 5, 8, 200), (40, 3, 100, 300), (12, 3, 80, 300), (20, 3, 10, 2000)],
+    ids=["tall", "blocked", "wide", "long"],
 )
 def test_cv_curve_matches_boost_replay_over_seeds(n, t, k, m_stop):
     # The Gram-cached kernel updates Z'r incrementally, so it may differ from
@@ -636,21 +636,31 @@ def _reference_fold(y, z, train, warn_label):
     """A fold's inputs as ``crossval._Fold`` derives them, written out.
 
     ``Z'Z`` is assembled in full from the same upper block products,
-    each block's transpose filling the rows below it; the copies on the
-    training rows are found by brute force.  Returns (corr, inv_norms2,
-    selectable, gram_row).
+    each block's transpose filling the rows below it, while its triangle
+    holds no more values than the design (k + ``GRAM_BLOCK`` <= 2 n);
+    otherwise the correlations, norms and Gram rows are those ``boost``
+    takes on a copy of the training rows.  The copies on the training rows
+    are found by brute force.  Returns (corr, inv_norms2, selectable,
+    gram_row).
     """
-    k = z.shape[1]
-    g = np.empty((k, k))
-    for s in range(0, k, GRAM_BLOCK):
-        block = z[:, s : s + GRAM_BLOCK].T @ z[:, s:]
-        g[s : s + GRAM_BLOCK, s:] = block
-        g[s + GRAM_BLOCK :, s : s + GRAM_BLOCK] = block[:, GRAM_BLOCK:].T
-    corr = z.T @ np.where(train, y, 0.0)
-    norms2 = np.einsum("ij,i,ij->j", z, train.astype(float), z)
+    n, k = z.shape
+    zt = z[train]
+    wide = k + GRAM_BLOCK > 2 * n
+    if wide:
+        corr = zt.T @ y[train]
+        norms2 = np.einsum("ij,ij->j", zt, zt)
+    else:
+        corr = z.T @ np.where(train, y, 0.0)
+        norms2 = np.einsum("ij,i,ij->j", z, train.astype(float), z)
     inv_norms2, selectable, _ = _screen_norms(norms2, None, warn_label)
     z_out = np.ascontiguousarray(z[~train].T)
-    direct = norms2 < CV_DIRECT_SHARE * np.diag(g)
+    if not wide:
+        g = np.empty((k, k))
+        for s in range(0, k, GRAM_BLOCK):
+            block = z[:, s : s + GRAM_BLOCK].T @ z[:, s:]
+            g[s : s + GRAM_BLOCK, s:] = block
+            g[s + GRAM_BLOCK :, s : s + GRAM_BLOCK] = block[:, GRAM_BLOCK:].T
+        direct = norms2 < CV_DIRECT_SHARE * np.diag(g)
     keys = np.stack((corr, norms2)).view(np.int64)
     rep = np.arange(k)
     for j in range(k):
@@ -660,6 +670,8 @@ def _reference_fold(y, z, train, warn_label):
                 break
 
     def gram_row(j):
+        if wide:
+            return (zt.T @ zt[:, j])[rep]
         zj = np.where(train, z[:, j], 0.0)
         if direct[j]:
             return (z.T @ zj)[rep]
@@ -693,8 +705,8 @@ def _sparse_signal(rng, rows, k):
 
 @pytest.mark.parametrize(
     "n, t, k, m_stop",
-    [(40, 5, 8, 200), (12, 3, 80, 300), (20, 3, 10, 2000)],
-    ids=["tall", "wide", "long"],
+    [(40, 5, 8, 200), (40, 3, 100, 300), (12, 3, 80, 300), (20, 3, 10, 2000)],
+    ids=["tall", "blocked", "wide", "long"],
 )
 def test_cv_curve_is_bitwise_the_reference_kernel_over_seeds(n, t, k, m_stop):
     cfg = BoostConfig(m_stop=m_stop)
@@ -1120,6 +1132,72 @@ def test_cv_curve_keeps_a_column_small_on_training_rows(monkeypatch, fold_entrie
         assert np.max(np.abs(curve - expected) / expected) <= 1e-10, seed
         assert choose_stopping_iteration(curve) == choose_stopping_iteration(expected), seed
         assert np.array_equal(curve, _reference_cv_curve(y, z, plan, cfg)), seed
+
+
+@pytest.mark.parametrize("fold_entries", [65_536, 0], ids=["lockstep", "alone"])
+def test_cv_curve_with_a_negated_column_follows_the_replay(monkeypatch, fold_entries):
+    # Column 3 is column 1 negated on every row.  The two tie exactly on the
+    # training rows, but only identical copies share their Gram entries, so
+    # this tie breaks by rounding; either copy gives the same held-out risk.
+    monkeypatch.setattr(spboost.crossval, "CV_FOLD_ENTRIES", fold_entries)
+    cfg = BoostConfig(m_stop=200)
+    for seed in range(5):
+        rng = np.random.default_rng(40 + seed)
+        plan = random_fold_plan(rng, 20, 3, 3)
+        y, z = _sparse_signal(rng, 60, 6)
+        z[:, 3] = -z[:, 1]
+        y += 2.0 * z[:, 1]
+        curve = boost_cv_curve(y, z, plan, cfg)
+        expected, paths = boost_replay(y, z, plan, cfg)
+        assert all(1 in path for path in paths), seed
+        assert np.max(np.abs(curve - expected) / expected) <= 1e-10, seed
+        assert choose_stopping_iteration(curve) == choose_stopping_iteration(expected), seed
+        assert np.array_equal(curve, _reference_cv_curve(y, z, plan, cfg)), seed
+
+
+def test_cv_curve_past_the_gram_bound_builds_no_gram(monkeypatch):
+    # k + GRAM_BLOCK > 2 n: the Z'Z triangle would hold more values than
+    # the design, so each fold takes Gram row j from a copy of its training
+    # rows when it first selects column j, as boost() on them would, and
+    # the curve holds no k x k array, only one fold's copy at a time.
+    n, t, k, m_stop = 40, 5, 400, 300
+    rng = np.random.default_rng(8)
+    y, z = _sparse_signal(rng, n * t, k)
+    plan = random_fold_plan(rng, n, t, 5)
+    assert k + GRAM_BLOCK > 2 * n * t
+    n_out, n_train = n * t // 5, n * t - n * t // 5
+    expected = _reference_cv_curve(y, z, plan, BoostConfig(m_stop=m_stop))
+
+    def no_gram(z):
+        raise AssertionError("a Z'Z past the bound")
+
+    monkeypatch.setattr(spboost.crossval, "_gram", no_gram)
+    distinct = []
+    real = spboost.crossval._gram_path
+
+    def counted(*args):
+        selection, steps, risk = real(*args)
+        distinct.append(len(np.unique(selection)))
+        return selection, steps, risk
+
+    monkeypatch.setattr(spboost.crossval, "_gram_path", counted)
+    tracemalloc.start()
+    try:
+        curve = boost_cv_curve(y, z, plan, BoostConfig(m_stop=m_stop))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(curve, expected)
+    # each fold has the bits of boost() on its training rows
+    folds = [plan.assignment == f for f in range(5)]
+    paths = [
+        _reference_boost_path(y[~out], z[~out], y[out], z[out], 0.1, m_stop)[2] for out in folds
+    ]
+    assert np.array_equal(curve, np.mean(paths, axis=0))
+    assert len(distinct) == 5
+    fold = k * n_out * 8 + (max(distinct) + 32) * (k + n_out) * 8 + 200 * m_stop
+    assert peak < n_train * k * 8 + fold
+    assert peak < k * k * 8
 
 
 def test_cv_curve_excludes_column_zero_in_one_folds_training_rows():

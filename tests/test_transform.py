@@ -1,5 +1,7 @@
 """Whitened response and design, and the loss identity behind them."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,34 @@ def test_random_transform_matches_dense_multiplication():
     root = dense_symmetric_sqrt(dense_omega_inv(w, 3, rho1, rho2, s_mu, s_eps))
     assert np.allclose(star.response, root @ data.response, atol=1e-8)
     assert np.allclose(star.design, root @ design.columns, atol=1e-8)
+
+
+def _traced_peak(build):
+    tracemalloc.start()
+    try:
+        out = build()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_design_and_whitened_design_are_kept_without_a_second_copy():
+    # augment_design and transform_random hand their records the arrays
+    # they built, and the whitener works through one-period temporaries, so
+    # neither holds two copies of the design at its peak.  Copying each
+    # record's array, and whitening through a whole-panel temporary,
+    # peaked at 2.0 and 2.2 designs here, against 1.0 and 1.4 now.
+    n, t, p = 60, 5, 80
+    data = make_panel(n, t, p, seed=3)
+    w, _ = make_weights(n, seed=3, k=4)
+    comp = VarianceComponents(rho2=-0.2, sigma_eps2=1.0, rho1=0.3, sigma_mu2=2.0)
+    op = random_effects_whitener(comp, w, t)
+    spec = ModelSpec(include_spatial_lags=False)
+    design, built = _traced_peak(lambda: augment_design(data, w, spec))
+    star, whitened = _traced_peak(lambda: transform_random(data, design, op))
+    size = design.columns.nbytes
+    assert star.design.shape == (n * t, p + 1)
+    assert built < 1.5 * size and whitened < 1.75 * size
 
 
 def test_random_transform_loss_equivalence(rng):

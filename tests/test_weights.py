@@ -15,6 +15,8 @@ from spboost.panel import AugmentedDesign, Effects, PanelDataset
 from spboost.transform import TransformedData
 from spboost.weights import (
     SpatialWeights,
+    _frozen,
+    _read_only,
     build_knn_weights,
     read_centroid_csv,
     read_neighbor_csv,
@@ -113,6 +115,20 @@ def test_frozen_records_own_read_only_c_ordered_copies(name):
         assert (record.degenerate, record.trace_ratio) == (False, 0.4)
     if name == "FoldPlan":
         assert record.assignment.dtype == np.int64
+
+
+def test_read_only_keeps_a_frozen_array_and_copies_a_frozen_view():
+    # a builder freezes what it made and hands it over without a copy; a
+    # read-only view of a writable array could still change, so it is copied
+    made = _frozen(np.arange(6.0).reshape(2, 3).copy())
+    assert _read_only(made) is made
+    base = np.arange(6.0)
+    view = base.reshape(2, 3)
+    view.setflags(write=False)
+    kept = _read_only(view)
+    base[0] = 9.0
+    assert kept is not view and kept[0, 0] == 0.0
+    assert _read_only(made, dtype=np.int64).dtype == np.int64
 
 
 def test_row_normalize_proportional_scaling():
