@@ -575,7 +575,7 @@ def _moment_systems(
         )
     if weights.n_locations != data.n_locations:
         raise ValidationError("weight matrix does not match the panel")
-    row_sums, col_sums = weights.matrix.sum(axis=1), weights.matrix.sum(axis=0)
+    row_sums, col_sums = weights._row_sums(), weights.matrix.sum(axis=0)
     row, col = int(np.argmax(row_sums)), int(np.argmax(col_sums))
     if min(row_sums[row], col_sums[col]) > 1.0 + 1e-12:
         ids = data.location_ids

@@ -102,14 +102,13 @@ class SpatialFilter:
     def __post_init__(self):
         if not np.isfinite(self.rho) or abs(self.rho) >= 1:
             raise ValidationError(f"spatial parameter must satisfy |rho| < 1, got {self.rho}")
-        w = self.weights.matrix
-        # 0 - rho*w and a unit diagonal: the bits of np.eye(n) - rho * w
-        # without a second n x n temporary (the diagonal of w is zero)
-        self._matrix = np.multiply(self.rho, w)
-        np.subtract(0.0, self._matrix, out=self._matrix)
+        w = self.weights
+        # 0 - rho*w at w's stored entries and a unit diagonal: the bits of
+        # np.eye(n) - rho * w, whose other entries are 0 - rho*0 = +0.0
+        self._matrix = w._dense(np.subtract(0.0, np.multiply(self.rho, w._values)))
         np.fill_diagonal(self._matrix, 1.0)
         self._lu = None
-        if 1.0 - abs(self.rho) * w.sum(axis=1).max() <= DOMINANCE_MARGIN:
+        if 1.0 - abs(self.rho) * w._row_sums().max() <= DOMINANCE_MARGIN:
             self._factorize()
 
     def _factorize(self):

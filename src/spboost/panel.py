@@ -175,10 +175,11 @@ def spatial_lag(values: np.ndarray, weights: SpatialWeights, n_periods: int) -> 
     neighbours in ascending order, summed term by term from zero.  That is
     how ``np.einsum("ij,tjk->tik", W, cube)`` sums it, skipping the zero
     weights, whose terms leave a finite sum unchanged, so both give the same
-    bits.  The table took 0.018 s against the einsum's 0.29 s at n = 2000
-    with 10 neighbours and 40 columns, and 0.6-0.93 of its time at n/10
-    neighbours, but 1.4-2.3 times as long at n/4.  A single column keeps
-    the einsum, which then reduces over neighbours in another order.
+    bits.  The table, read from the stored entries, took 0.018 s against
+    the einsum's 0.29 s at n = 2000 with 10 neighbours and 40 columns, and
+    0.6-0.93 of its time at n/10 neighbours, but 1.4-2.3 times as long at
+    n/4.  A vector or a single column keeps the BLAS product or the einsum,
+    which sum in other orders, on a dense W built for that call alone.
     """
     v = np.asarray(values, dtype=float)
     n = weights.n_locations
@@ -190,7 +191,7 @@ def spatial_lag(values: np.ndarray, weights: SpatialWeights, n_periods: int) -> 
         per_period = v.reshape(n_periods, n)
         return (per_period @ weights.matrix.T).reshape(-1)
     per_period = v.reshape(n_periods, n, -1)
-    table = _neighbour_table(weights.matrix) if per_period.shape[2] > 1 else None
+    table = _neighbour_table(weights) if per_period.shape[2] > 1 else None
     if table is None:
         out = np.einsum("ij,tjk->tik", weights.matrix, per_period)
     else:
@@ -202,15 +203,16 @@ def spatial_lag(values: np.ndarray, weights: SpatialWeights, n_periods: int) -> 
     return out.reshape(v.shape[0], v.shape[1])
 
 
-def _neighbour_table(matrix: np.ndarray):
+def _neighbour_table(weights: SpatialWeights):
     """Each row's nonzero columns in ascending order, and their weights.
 
     Returns two ``(width, n)`` arrays, slot by slot: slot s holds row i's
     s-th nonzero column and weight, or column 0 with weight 0 where row i has
     fewer; None when some row has more than n/10 nonzero columns.
     """
-    n = matrix.shape[0]
-    flat = np.flatnonzero(matrix != 0)
+    n = weights.n_locations
+    nonzero = weights._values != 0
+    flat, values = weights._positions[nonzero], weights._values[nonzero]
     rows, cols = np.divmod(flat, n)
     degree = np.bincount(rows, minlength=n)
     width = int(degree.max()) if flat.size else 0
@@ -220,7 +222,7 @@ def _neighbour_table(matrix: np.ndarray):
     columns = np.zeros((width, n), dtype=np.intp)
     coefs = np.zeros((width, n))
     columns[slot, rows] = cols
-    coefs[slot, rows] = matrix.ravel()[flat]
+    coefs[slot, rows] = values
     return columns, coefs
 
 

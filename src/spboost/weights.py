@@ -1,9 +1,10 @@
 """Spatial weight matrices.
 
-Weights are dense (n, n) float arrays with a zero diagonal.  k-nearest-
-neighbour construction uses plain Euclidean distances between centroids and
-breaks distance ties in favour of the lower location index, which keeps the
-result reproducible regardless of how the distances happen to round.
+Weights are (n, n) float matrices with a zero diagonal, kept as their
+entries.  k-nearest-neighbour construction uses plain Euclidean distances
+between centroids and breaks distance ties in favour of the lower location
+index, which keeps the result reproducible regardless of how the distances
+happen to round.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,11 +22,10 @@ from .errors import (
     ValidationError,
 )
 
-# Dense (n, n) storage is used throughout; beyond this the eigendecompositions
-# needed downstream stop being practical on a workstation.  Building the
-# random-effects whitener raises resident memory by about 5.3 n x n float
-# blocks, LAPACK's copies and workspace included (about 0.7 GB at this
-# limit, 168 MB at n = 2000), on top of the weights themselves.
+# The weights are sparse, but the whitener forms dense n x n blocks; beyond
+# this its eigendecompositions stop being practical on a workstation.  It
+# raises resident memory by about 5.3 n x n float blocks, LAPACK's copies and
+# workspace included (about 0.7 GB at this limit, 168 MB at n = 2000).
 DENSE_LIMIT = 4096
 
 
@@ -67,56 +66,96 @@ def _frozen(value: np.ndarray) -> np.ndarray:
     return value
 
 
-@dataclass(frozen=True)
 class SpatialWeights:
-    """Spatial weight matrix, stored as a read-only copy.
+    """Spatial weight matrix, stored as its entries that are not +0.0.
 
     Parameters
     ----------
-    matrix : ndarray of shape (n, n)
+    matrix : array_like of shape (n, n)
         Finite, non-negative weights, zero diagonal.  Row sums are not
         checked here: ``estimate_variance_components`` refuses weights
         whose largest row sum and largest column sum both exceed one.
+
+    The entries keep their ascending row-major positions ``i * n + j`` and
+    their values, -0.0 included, so ``matrix`` rebuilds the array bit for bit.
     """
 
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = _read_only(self.matrix)
+    def __init__(self, matrix):
+        m = np.asarray(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"weight matrix must be square, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
+        self._store(m.shape[0], None, m.ravel())
+
+    @classmethod
+    def _from_entries(cls, n: int, positions: np.ndarray, values: np.ndarray):
+        """Weights from ascending row-major positions and their values."""
+        return cls.__new__(cls)._store(n, positions, values)
+
+    def _store(self, n: int, positions: np.ndarray | None, values: np.ndarray):
+        """Validate the ``values`` that are not +0.0 as the dense matrix's and
+        keep them, at ``positions`` or, when None, at their own indices."""
+        kept = np.flatnonzero((values != 0) | np.signbit(values))
+        values = values[kept]
+        if not np.all(np.isfinite(values)):
             raise ValidationError("weight matrix contains non-finite entries")
-        if np.any(m < 0):
+        if np.any(values < 0):
             raise ValidationError("weight matrix contains negative entries")
-        if np.any(np.diag(m) != 0):
+        positions = kept if positions is None else positions[kept]
+        if np.any(values[positions % (n + 1) == 0] != 0):
             raise ValidationError("weight matrix diagonal must be zero (no self-neighbours)")
-        object.__setattr__(self, "matrix", m)
+        self._n, self._positions, self._values = n, _frozen(positions), _frozen(values)
+        return self
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense (n, n) weights, read-only, built anew on each access."""
+        return _frozen(self._dense(self._values))
+
+    def _dense(self, values: np.ndarray) -> np.ndarray:
+        """An (n, n) array of zeros with ``values`` at the stored positions."""
+        out = np.zeros((self._n, self._n))
+        np.put(out, self._positions, values)
+        return out
+
+    def _row_sums(self) -> np.ndarray:
+        """``matrix.sum(axis=1)`` bit for bit, from dense blocks of about 2**17
+        values: numpy reduces each contiguous row alone, at any block height."""
+        n, sums, step = self._n, np.empty(self._n), max(1, 2**17 // max(self._n, 1))
+        for start in range(0, n, step):
+            lo, hi = np.searchsorted(self._positions, (start * n, (start + step) * n))
+            block = np.zeros((min(step, n - start), n))
+            np.put(block, self._positions[lo:hi] - start * n, self._values[lo:hi])
+            sums[start : start + step] = block.sum(axis=1)
+        return sums
 
     @property
     def n_locations(self) -> int:
-        return self.matrix.shape[0]
+        return self._n
 
     @functools.cached_property
     def trace_ratio(self) -> float:
         """tr(W'W) / n, computed once: it needs an n x n temporary."""
-        return float((self.matrix * self.matrix).sum()) / self.n_locations
+        squares = self._dense(self._values)
+        return float(np.multiply(squares, squares, out=squares).sum()) / self._n
 
 
 def row_normalize(weights: SpatialWeights) -> SpatialWeights:
     """Scale each row of the weight matrix to sum to one.
+
+    Works on the stored entries, with the dense matrix's row sums, bit for
+    bit, and forms no n x n array.
 
     Raises
     ------
     IsolatedUnitError
         If some location has no neighbours at all (zero row).
     """
-    m = weights.matrix
-    sums = m.sum(axis=1)
+    sums = weights._row_sums()
     zero_rows = np.nonzero(sums == 0)[0]
     if zero_rows.size:
         raise IsolatedUnitError(int(zero_rows[0]))
-    return SpatialWeights(m / sums[:, None])
+    n, positions = weights.n_locations, weights._positions
+    return SpatialWeights._from_entries(n, positions, weights._values / sums[positions // n])
 
 
 def build_knn_weights(centroids: np.ndarray, k: int) -> SpatialWeights:
@@ -127,7 +166,8 @@ def build_knn_weights(centroids: np.ndarray, k: int) -> SpatialWeights:
     location index so the construction is deterministic: the neighbours are
     the first k of a stable sort of each row's distances.  They are found
     by partial selection of the k-th smallest distance instead of a full
-    sort, and at most about three n x n float arrays are alive at once.
+    sort.  At most two n x n float arrays, the distances and their
+    partition, are alive at once; the weights keep only their n k entries.
 
     Parameters
     ----------
@@ -174,7 +214,8 @@ def build_knn_weights(centroids: np.ndarray, k: int) -> SpatialWeights:
     del dist
     free = k - np.count_nonzero(nearest, axis=1)
     nearest |= at_kth & (np.cumsum(at_kth, axis=1) <= free[:, None])
-    return SpatialWeights(np.where(nearest, 1.0 / k, 0.0))
+    positions = np.flatnonzero(nearest)
+    return SpatialWeights._from_entries(n, positions, np.full(positions.size, 1.0 / k))
 
 
 def read_centroid_csv(path: str, location_ids: list[str] | None = None) -> tuple[list[str], np.ndarray]:
@@ -216,6 +257,7 @@ def read_neighbor_csv(path: str, location_ids: list[str]) -> SpatialWeights:
 
     Location labels must match ``location_ids``; the returned matrix follows
     that ordering.  Self-loops and repeated (from, to) pairs are rejected.
+    Memory grows with the number of edges, not with n x n.
     """
     index = {lab: i for i, lab in enumerate(location_ids)}
     n = len(location_ids)
@@ -223,8 +265,7 @@ def read_neighbor_csv(path: str, location_ids: list[str]) -> SpatialWeights:
         raise ValidationError(
             f"{n} locations exceeds the dense weight matrix limit of {DENSE_LIMIT}"
         )
-    m = np.zeros((n, n))
-    seen: set[tuple[int, int]] = set()
+    edges: dict[int, float] = {}
     with _csv_rows(path) as reader:
         header = next(reader, None)
         if header is None or [c.strip() for c in header] != ["from", "to", "weight"]:
@@ -244,8 +285,10 @@ def read_neighbor_csv(path: str, location_ids: list[str]) -> SpatialWeights:
             i, j = index[src], index[dst]
             if i == j:
                 raise ParseError(f"self-loop on location {src!r}", row=rownum)
-            if (i, j) in seen:
+            if i * n + j in edges:
                 raise ParseError(f"duplicate edge {src!r} -> {dst!r}", row=rownum)
-            seen.add((i, j))
-            m[i, j] = wgt
-    return SpatialWeights(m)
+            edges[i * n + j] = wgt
+    positions = sorted(edges)
+    return SpatialWeights._from_entries(
+        n, np.array(positions, dtype=np.intp), np.array([edges[p] for p in positions])
+    )

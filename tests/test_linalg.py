@@ -11,6 +11,7 @@ import pytest
 from spboost.errors import ConditioningError, SingularFilterError, ValidationError
 from spboost.gmm import VarianceComponents
 from spboost.linalg import (
+    DOMINANCE_MARGIN,
     ProjectorKind,
     SpatialFilter,
     TimeProjector,
@@ -105,6 +106,23 @@ def test_spatial_filter_matrix_matches_dense():
     w, _ = make_weights(5, seed=4, k=2)
     filt = SpatialFilter(0.35, w)
     assert np.allclose(filt.matrix, dense_filter(w, 0.35), atol=1e-14)
+
+
+def test_spatial_filter_matrix_is_bitwise_eye_minus_rho_w(rng):
+    # the filter scatters 0 - rho*w into the stored entries only; every other
+    # entry of eye(n) - rho * W is +0.0 at either sign of rho
+    n = 300
+    user = np.where(rng.uniform(size=(n, n)) < 0.03, rng.uniform(0.0, 0.2, size=(n, n)), 0.0)
+    np.fill_diagonal(user, 0.0)
+    user[rng.integers(n, size=20), rng.integers(n, size=20)] = -0.0
+    knn, _ = make_weights(n, seed=12, k=10)
+    for w in (knn, SpatialWeights(user)):
+        dense = w.matrix
+        for rho in (0.4, -0.4, 0.95, -0.95, 0.0, -0.0):
+            filt = SpatialFilter(rho, w)
+            assert filt.matrix.tobytes() == (np.eye(n) - rho * dense).tobytes(), rho
+            dominant = 1.0 - abs(rho) * dense.sum(axis=1).max() > DOMINANCE_MARGIN
+            assert (filt._lu is None) == dominant, rho
 
 
 def test_spatial_filter_solve_round_trip(rng):

@@ -237,7 +237,7 @@ def test_spatial_lag_is_bitwise_the_einsum_on_ragged_sparse_weights():
         reference = np.einsum("ij,tjk->tik", w, x.reshape(t, n, p)).reshape(n * t, p)
         got = spatial_lag(x, SpatialWeights(w), t)
         assert np.array_equal(got.view(np.int64), reference.view(np.int64)), seed
-        lagged += p > 1 and spboost.panel._neighbour_table(w) is not None
+        lagged += p > 1 and spboost.panel._neighbour_table(SpatialWeights(w)) is not None
     assert lagged >= 40
 
 
@@ -246,13 +246,49 @@ def test_spatial_lag_neighbour_table_lists_ascending_nonzero_columns():
         [[0.0, 0.0, 0.5, 0.5] + [0.0] * 16, [0.3] + [0.0] * 18 + [0.7]]
         + [[0.0] * 20] * 18
     )
-    columns, coefs = spboost.panel._neighbour_table(w)
+    columns, coefs = spboost.panel._neighbour_table(SpatialWeights(w))
     assert columns[:, :2].tolist() == [[2, 0], [3, 19]]
     assert coefs[:, :2].tolist() == [[0.5, 0.3], [0.5, 0.7]]
     assert not coefs[:, 2:].any()
     # a row with more than n/10 neighbours leaves the einsum in charge
     w[5, 1:4] = 1.0
-    assert spboost.panel._neighbour_table(w) is None
+    assert spboost.panel._neighbour_table(SpatialWeights(w)) is None
+
+
+def _dense_neighbour_table(matrix):
+    """The neighbour table by a scan of the dense matrix."""
+    n = matrix.shape[0]
+    flat = np.flatnonzero(matrix != 0)
+    rows, cols = np.divmod(flat, n)
+    degree = np.bincount(rows, minlength=n)
+    width = int(degree.max()) if flat.size else 0
+    if 10 * width > n:
+        return None
+    slot = np.arange(flat.size) - np.repeat(np.cumsum(degree) - degree, degree)
+    columns = np.zeros((width, n), dtype=np.intp)
+    coefs = np.zeros((width, n))
+    columns[slot, rows] = cols
+    coefs[slot, rows] = matrix.ravel()[flat]
+    return columns, coefs
+
+
+def test_neighbour_table_from_stored_entries_is_the_dense_scan_slot_for_slot():
+    tables = 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(10, 300))
+        w = _ragged_sparse_weights(rng, n)
+        # -0.0 weights are stored entries but no neighbours
+        w[rng.integers(n, size=3), rng.integers(n, size=3)] = -0.0
+        for weights in (SpatialWeights(w), build_knn_weights(rng.uniform(size=(n, 2)), 1 + n // 20)):
+            want = _dense_neighbour_table(weights.matrix)
+            got = spboost.panel._neighbour_table(weights)
+            assert (got is None) == (want is None), seed
+            if want is not None:
+                tables += 1
+                for a, b in zip(got, want):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), seed
+    assert tables >= 60
 
 
 def test_spatial_lag_keeps_the_einsum_for_one_column_and_dense_weights(monkeypatch):

@@ -444,3 +444,120 @@ def test_knn_peak_memory_stays_near_two_blocks():
     # n x n float blocks; the (n, n, 2) difference tensor and full argsort
     # of the stable-sort construction peaked at 8.1, this one at 2.3
     assert peak / (n * n * 8) < 4.0
+
+
+# ---------------------------------------------------------------------------
+# compact storage: the stored entries rebuild the dense matrix bit for bit
+
+
+def _edge_csv(path, labels, matrix):
+    """``matrix``'s entries that are not +0.0, off its diagonal, as a
+    from,to,weight file in reverse order."""
+    lines = ["from,to,weight"]
+    off_diagonal = ~np.eye(matrix.shape[0], dtype=bool)
+    for i, j in zip(*np.nonzero(((matrix != 0) | np.signbit(matrix)) & off_diagonal)):
+        lines.insert(1, f"{labels[i]},{labels[j]},{float(matrix[i, j])!r}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _hand_built():
+    """-0.0 entries (the diagonal one included) and row 0 with more than n/10
+    neighbours, some weights subnormal."""
+    rng = np.random.default_rng(31)
+    n = 40
+    m = np.where(rng.uniform(size=(n, n)) < 0.05, rng.uniform(size=(n, n)), 0.0)
+    m[0, 1:20] = rng.uniform(size=19)
+    np.fill_diagonal(m, 0.0)
+    m[3, 7] = m[5, 5] = m[9, 0] = -0.0
+    m[6, 2] = 5e-324
+    return m
+
+
+def _dense_cases(tmp_path):
+    """(weights, the dense matrix they must equal bit for bit)."""
+    pts = np.random.default_rng(30).uniform(size=(300, 2))
+    raw = _hand_built()
+    isolated = np.flatnonzero(raw.sum(axis=1) == 0)
+    raw[isolated, (isolated + 1) % raw.shape[0]] = 0.25
+    labels = [f"L{i}" for i in range(raw.shape[0])]
+    _edge_csv(tmp_path / "edges.csv", labels, raw)
+    from_csv = raw.copy()
+    np.fill_diagonal(from_csv, 0.0)
+    return {
+        "knn": (build_knn_weights(pts, 7), knn_by_stable_argsort(pts, 7).matrix),
+        "row-normalized": (
+            row_normalize(SpatialWeights(raw)), raw / raw.sum(axis=1)[:, None]
+        ),
+        "neighbour-csv": (read_neighbor_csv(tmp_path / "edges.csv", labels), from_csv),
+        "hand-built": (SpatialWeights(_hand_built()), _hand_built()),
+        "fortran-ordered": (SpatialWeights(np.asfortranarray(raw)), raw),
+        "transposed": (SpatialWeights(raw.T), raw.T.copy()),
+    }
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["knn", "row-normalized", "neighbour-csv", "hand-built", "fortran-ordered", "transposed"],
+)
+def test_matrix_round_trips_bit_for_bit_and_stays_read_only(tmp_path, case):
+    weights, dense = _dense_cases(tmp_path)[case]
+    m = weights.matrix
+    assert m.shape == dense.shape and m.flags.c_contiguous
+    assert m.tobytes() == dense.tobytes()
+    assert SpatialWeights(m).matrix.tobytes() == m.tobytes()
+    assert weights._row_sums().tobytes() == dense.sum(axis=1).tobytes()
+    assert weights.trace_ratio == float((dense * dense).sum()) / dense.shape[0]
+    with pytest.raises(ValueError):
+        m[0, 1] = 2.0
+    # each access builds a new array, so a caller's copy is its own
+    assert weights.matrix is not m and weights.matrix.tobytes() == dense.tobytes()
+    # only the entries that are not +0.0 are kept
+    assert weights._values.size == np.count_nonzero((dense != 0) | np.signbit(dense))
+
+
+@pytest.mark.parametrize(
+    "weight, match",
+    [("-0.5", "negative entries"), ("nan", "non-finite entries"), ("inf", "non-finite entries")],
+)
+def test_read_neighbor_csv_refuses_what_the_dense_matrix_refuses(tmp_path, weight, match):
+    path = tmp_path / "edges.csv"
+    path.write_text(f"from,to,weight\nA,B,1.0\nB,A,{weight}\n")
+    with pytest.raises(ValidationError, match=match):
+        read_neighbor_csv(path, ("A", "B"))
+    dense = np.array([[0.0, 1.0], [float(weight), 0.0]])
+    with pytest.raises(ValidationError, match=match):
+        SpatialWeights(dense)
+
+
+def test_knn_weights_retain_only_their_entries():
+    # 20,000 entries at n = 2000: positions and values, 320 KB, where the
+    # dense matrix held 32 MB
+    pts = np.random.default_rng(6).uniform(size=(2000, 2))
+    tracemalloc.start()
+    try:
+        weights = build_knn_weights(pts, 10)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert weights.n_locations == 2000
+    assert retained < 1_000_000
+
+
+def test_read_neighbor_csv_peaks_below_one_dense_block(tmp_path):
+    n = 2000
+    rng = np.random.default_rng(7)
+    labels = [f"L{i}" for i in range(n)]
+    lines = ["from,to,weight"]
+    for i in range(n):
+        for j in rng.choice(np.delete(np.arange(n), i), size=10, replace=False):
+            lines.append(f"{labels[i]},{labels[j]},{rng.uniform()!r}")
+    path = tmp_path / "edges.csv"
+    path.write_text("\n".join(lines) + "\n")
+    tracemalloc.start()
+    try:
+        weights = read_neighbor_csv(path, labels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
+    assert weights._values.size == 10 * n
