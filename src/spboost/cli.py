@@ -42,9 +42,10 @@ from .weights import build_knn_weights, read_centroid_csv, read_neighbor_csv, ro
 
 def _add_ingestion_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--panel", required=True, help="long-format panel CSV (location,period,y,...)")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--weights", help="neighbour-list weight CSV (from,to,weight)")
-    src.add_argument("--centroids", help="centroid CSV (location,cx,cy); pair with --knn")
+    p.add_argument("--weights", help="neighbour-list weight CSV (from,to,weight)")
+    p.add_argument(
+        "--centroids", help="centroid CSV (location,cx,cy) for spatial folds, and with --knn weights"
+    )
     p.add_argument("--knn", type=int, help="number of nearest neighbours for --centroids")
     p.add_argument(
         "--row-normalize",
@@ -141,24 +142,24 @@ def _load_inputs(args):
     """
     if args.seed < 0:
         raise ValidationError(f"--seed must be non-negative, got {args.seed}")
+    if args.knn is not None and args.weights is not None:
+        raise ValidationError("--knn cannot be combined with --weights")
+    if args.knn is not None and args.centroids is None:
+        raise ValidationError("--knn requires --centroids")
+    if args.row_normalize and args.weights is None:
+        raise ValidationError("--row-normalize requires --weights")
+    if args.knn is None and args.weights is None:
+        raise ValidationError("spatial weights need --weights, or --centroids with --knn")
     data = read_panel_csv(args.panel)
     inputs = {"panel": {"path": args.panel, "sha256": file_sha256(args.panel)}}
     if args.centroids is not None:
-        if args.knn is None:
-            raise ValidationError("--centroids requires --knn")
-        if args.row_normalize:
-            raise ValidationError("--row-normalize requires --weights")
         _, pts = read_centroid_csv(args.centroids, list(data.location_ids))
-        weights = build_knn_weights(pts, args.knn)
         data = dataclasses.replace(data, centroids=pts)
-        inputs["centroids"] = {
-            "path": args.centroids,
-            "sha256": file_sha256(args.centroids),
-            "knn": args.knn,
-        }
+        inputs["centroids"] = {"path": args.centroids, "sha256": file_sha256(args.centroids)}
+    if args.weights is None:
+        weights = build_knn_weights(data.centroids, args.knn)
+        inputs["centroids"]["knn"] = args.knn
     else:
-        if args.knn is not None:
-            raise ValidationError("--knn requires --centroids")
         weights = read_neighbor_csv(args.weights, list(data.location_ids))
         if args.row_normalize:
             weights = row_normalize(weights)

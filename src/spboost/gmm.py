@@ -575,7 +575,7 @@ def _moment_systems(
         )
     if weights.n_locations != data.n_locations:
         raise ValidationError("weight matrix does not match the panel")
-    row_sums, col_sums = weights._row_sums(), weights.matrix.sum(axis=0)
+    row_sums, col_sums = weights._row_sums(), weights._col_sums()
     row, col = int(np.argmax(row_sums)), int(np.argmax(col_sums))
     if min(row_sums[row], col_sums[col]) > 1.0 + 1e-12:
         ids = data.location_ids
@@ -661,7 +661,9 @@ def estimate_variance_components(
     Weights whose largest row sum and largest column sum both exceed one
     are refused with ``ValidationError``: the solver's range |rho| <= 0.999
     is admissible only for a spectral radius of W at most 1, which each of
-    those two sums bounds (Kelejian & Prucha 2010).
+    those two sums bounds (Kelejian & Prucha 2010).  On admitted weights,
+    every filter I - rho W with |rho| <= 0.999 therefore passes
+    ``SpatialFilter``'s rows-or-columns rule, by a margin of about 1e-3.
     """
     free, pinned = _moment_systems(data, design, weights, spec, config=config, cv_plan=cv_plan)
     return _variance_components(spec, pinned, _solve_free(free))

@@ -73,27 +73,22 @@ class TimeProjector:
         return np.ascontiguousarray(out).reshape(v.shape)
 
 
-# Margin by which the off-diagonal row sums of rho * W must stay below one
-# before the filter is taken as nonsingular without an LU test; see
-# SpatialFilter.
+# Margin of the rows-or-columns rule; see SpatialFilter.
 DOMINANCE_MARGIN = 1e-6
 
 
 @dataclass
 class SpatialFilter:
-    """The filter (I - rho * W); its LU factorization is built on first solve.
+    """The filter (I - rho * W), refused when numerically singular.
 
-    scipy.linalg is imported only then, so code that never factorizes a
-    filter never loads it.
-
-    A filter whose scaled off-diagonal row sums ``s = |rho| * max_i sum_j
-    w_ij`` stay below one is strictly diagonally dominant, hence nonsingular,
-    and every pivot of its LU factorization is at least ``1 - s`` (Varah's
-    bound holds for each Schur complement).  When ``1 - s`` exceeds
-    DOMINANCE_MARGIN, far above the relative pivot floor of 1e-14 and its
-    rounding, no factorization is needed to accept the filter; that always
-    holds for row-normalized weights with |rho| <= 0.999.  Otherwise the LU
-    is built at once and a numerically singular filter is refused.
+    The rows-or-columns rule: a filter with ``|rho| * min(largest row sum of
+    W, largest column sum of W) < 1 - DOMINANCE_MARGIN`` is strictly
+    diagonally dominant by rows or by columns, hence nonsingular (Varah 1975,
+    for the matrix or its transpose), and is accepted as it stands.  Every
+    filter that a fit, a cross-validation or a transform builds passes it:
+    ``estimate_variance_components`` says which weights and which rho it
+    admits.  A filter dominant in neither direction is refused when its
+    1-norm condition number exceeds 1e14.  Only ``solve`` factorizes.
     """
 
     rho: float
@@ -107,43 +102,24 @@ class SpatialFilter:
         # np.eye(n) - rho * w, whose other entries are 0 - rho*0 = +0.0
         self._matrix = w._dense(np.subtract(0.0, np.multiply(self.rho, w._values)))
         np.fill_diagonal(self._matrix, 1.0)
-        self._lu = None
-        if 1.0 - abs(self.rho) * w._row_sums().max() <= DOMINANCE_MARGIN:
-            self._factorize()
-
-    def _factorize(self):
-        if self._lu is None:
-            # imported here: a fit on row-normalized weights never factorizes,
-            # so it never pays for loading scipy.linalg
-            from scipy.linalg import lu_factor
-
-            try:
-                lu = lu_factor(self._matrix)
-            except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-                raise SingularFilterError(str(exc)) from None
-            diag = np.abs(np.diag(lu[0]))
-            if diag.min() <= 1e-14 * max(diag.max(), 1.0):
-                raise SingularFilterError(
-                    f"filter I - {self.rho} * W is numerically singular"
-                )
-            self._lu = lu
-        return self._lu
+        spread = abs(self.rho) * min(w._row_sums().max(), w._col_sums().max())
+        if spread >= 1.0 - DOMINANCE_MARGIN and np.linalg.cond(self._matrix, 1) > 1e14:
+            raise SingularFilterError(f"filter I - {self.rho} * W is numerically singular")
 
     @property
     def matrix(self) -> np.ndarray:
         return self._matrix
 
     def solve(self, values: np.ndarray, n_periods: int = 1) -> np.ndarray:
-        """(I - rho W)^{-1} v within each period block."""
+        """(I - rho W)^{-1} v within each period block, by one LU factorization."""
+        from scipy.linalg import lu_factor, lu_solve
+
         v = np.asarray(values, dtype=float)
         n = self.weights.n_locations
         if v.shape[0] != n * n_periods:
             raise ValidationError(f"expected {n * n_periods} rows, got {v.shape[0]}")
-        cube = v.reshape(n_periods, n, -1)
-        lu = self._factorize()
-        from scipy.linalg import lu_solve
-
-        out = np.stack([lu_solve(lu, block) for block in cube])
+        lu = lu_factor(self._matrix)
+        out = np.stack([lu_solve(lu, block) for block in v.reshape(n_periods, n, -1)])
         return out.reshape(v.shape)
 
 

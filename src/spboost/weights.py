@@ -128,6 +128,11 @@ class SpatialWeights:
             sums[start : start + step] = block.sum(axis=1)
         return sums
 
+    def _col_sums(self) -> np.ndarray:
+        """``matrix.sum(axis=0)`` bit for bit: both add each column's entries
+        in ascending row order from +0.0, and a +0.0 entry changes no sum."""
+        return np.bincount(self._positions % self._n, self._values, minlength=self._n)
+
     @property
     def n_locations(self) -> int:
         return self._n

@@ -407,7 +407,7 @@ def test_knn_with_neighbor_list_weights_is_refused(panel_files, tmp_path, capsys
             "--out-dir", str(tmp_path / "o")]
     assert main(args) == 2
     err = capsys.readouterr().err.splitlines()
-    assert err == ["spboost: invalid input: --knn requires --centroids"]
+    assert err == ["spboost: invalid input: --knn cannot be combined with --weights"]
     assert not (tmp_path / "o").exists()
 
 
@@ -423,6 +423,67 @@ def test_row_normalize_with_centroids_is_refused(panel_files, tmp_path, capsys, 
     err = capsys.readouterr().err.splitlines()
     assert err == ["spboost: invalid input: --row-normalize requires --weights"]
     assert not (tmp_path / "o").exists()
+
+
+def write_knn_edges(path, panel, centroids):
+    """The module's kNN weights (k = 3) as a neighbour list, weights as repr."""
+    data = read_panel_csv(panel)
+    _, pts = read_centroid_csv(centroids, list(data.location_ids))
+    w = build_knn_weights(pts, 3).matrix
+    edges = [
+        (data.location_ids[i], data.location_ids[j], repr(float(w[i, j])))
+        for i, j in zip(*np.nonzero(w))
+    ]
+    write_csv(str(path), ["from", "to", "weight"], edges)
+
+
+@pytest.mark.parametrize("command", ["fit", "cv", "transform"])
+def test_weights_with_centroids_cross_validate_on_spatial_folds(panel_files, tmp_path, command):
+    # --centroids beside --weights supplies only the fold centroids, so the
+    # same weights from a file cross-validate on the same spatial folds
+    panel, centroids = panel_files
+    edges = tmp_path / "knn.csv"
+    write_knn_edges(edges, panel, centroids)
+    common = [command, "--panel", panel, "--centroids", centroids, "--folds", "2",
+              "--mstop-budget", "150", "--seed", "4"]
+    assert main([*common, "--knn", "3", "--out-dir", str(tmp_path / "knn")]) == 0
+    assert main([*common, "--weights", str(edges), "--out-dir", str(tmp_path / "weights")]) == 0
+    names = {"fit": ["coefficients.csv", "cv_curve.csv", "risk_path.csv"],
+             "cv": ["cv_curve.csv"], "transform": ["transformed.csv"]}[command]
+    for name in names:
+        assert (tmp_path / "knn" / name).read_bytes() == (tmp_path / "weights" / name).read_bytes()
+    report = {"fit": "report.json", "cv": "cv.json", "transform": "transform.json"}[command]
+    knn_inputs = load_json(tmp_path / "knn" / report)["inputs"]
+    inputs = load_json(tmp_path / "weights" / report)["inputs"]
+    assert knn_inputs["centroids"].pop("knn") == 3
+    assert inputs["centroids"] == knn_inputs["centroids"]
+    assert inputs["weights"]["row_normalized"] is False
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--weights", "W", "--centroids", "C", "--knn", "3"], "--knn cannot be combined with --weights"),
+        (["--knn", "3"], "--knn requires --centroids"),
+        (["--row-normalize"], "--row-normalize requires --weights"),
+        (["--centroids", "C", "--row-normalize"], "--row-normalize requires --weights"),
+        ([], "spatial weights need --weights, or --centroids with --knn"),
+        (["--centroids", "C"], "spatial weights need --weights, or --centroids with --knn"),
+    ],
+    ids=["knn-weights-centroids", "knn-alone", "row-normalize-alone",
+         "row-normalize-centroids", "neither", "centroids-alone"],
+)
+def test_weight_flag_combinations_are_refused(panel_files, tmp_path, capsys, flags, message):
+    panel, centroids = panel_files
+    edges = tmp_path / "edges.csv"
+    write_ring_edges(edges, 25)
+    flags = [{"W": str(edges), "C": centroids}.get(f, f) for f in flags]
+    for command in ("fit", "cv", "transform"):
+        out = tmp_path / command
+        assert main([command, "--panel", panel, *flags, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"spboost: invalid input: {message}"]
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

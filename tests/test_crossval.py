@@ -346,6 +346,10 @@ import spboost.cli
 from spboost import (
     BoostConfig, DgpConfig, ModelSpec, PanelDataset, build_knn_weights, fit_model, generate_panel,
 )
+from spboost.errors import SingularFilterError
+from spboost.gmm import VarianceComponents
+from spboost.linalg import SpatialFilter, random_effects_whitener
+from spboost.weights import SpatialWeights
 
 def linalg_loaded():
     return any(m.startswith("scipy.linalg") for m in sys.modules)
@@ -363,18 +367,30 @@ data = PanelDataset(
 )
 fit_model(data, build_knn_weights(pts, 5), ModelSpec(), BoostConfig(m_stop=50), n_folds=2)
 print(linalg_loaded())
+knn = build_knn_weights(pts, 5).matrix
+columns = SpatialWeights(knn.T)
+SpatialFilter(0.99, columns)  # dominant by columns only
+SpatialFilter(0.6, SpatialWeights(2 * knn))  # dominant in neither direction
+try:
+    SpatialFilter(0.5, SpatialWeights(2 * knn))  # I - W: singular
+    refused = False
+except SingularFilterError:
+    refused = True
+random_effects_whitener(VarianceComponents(rho2=0.7, sigma_eps2=1.0, rho1=0.7, sigma_mu2=1.0), columns, 3)
+print(linalg_loaded(), refused)
 panel, _ = generate_panel(DgpConfig(n_locations=20, n_periods=2, n_candidates=4), 0)
 print(linalg_loaded(), panel.n_obs)
 """
 
 
 def test_fit_on_row_normalized_weights_leaves_scipy_linalg_unloaded():
-    # only an LU factorization loads scipy.linalg: the DGP's solve does, a
-    # fit on row-normalized weights never factorizes
+    # only SpatialFilter.solve loads scipy.linalg, for its LU factorization:
+    # the DGP's draws do; a fit, filters dominant by columns or in neither
+    # direction, and the whitener on column-stochastic weights never solve
     out = subprocess.run(
         [sys.executable, "-c", SCIPY_LINALG_SCRIPT], capture_output=True, text=True, check=True
     )
-    assert out.stdout.split("\n")[:2] == ["False", "True 40"]
+    assert out.stdout.split("\n")[:3] == ["False", "False True", "True 40"]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -108,21 +109,29 @@ def test_spatial_filter_matrix_matches_dense():
     assert np.allclose(filt.matrix, dense_filter(w, 0.35), atol=1e-14)
 
 
-def test_spatial_filter_matrix_is_bitwise_eye_minus_rho_w(rng):
+def test_spatial_filter_matrix_is_bitwise_eye_minus_rho_w(rng, monkeypatch):
     # the filter scatters 0 - rho*w into the stored entries only; every other
-    # entry of eye(n) - rho * W is +0.0 at either sign of rho
+    # entry of eye(n) - rho * W is +0.0 at either sign of rho.  Only a filter
+    # that fails the rows-or-columns rule takes the condition-number test.
     n = 300
     user = np.where(rng.uniform(size=(n, n)) < 0.03, rng.uniform(0.0, 0.2, size=(n, n)), 0.0)
     np.fill_diagonal(user, 0.0)
     user[rng.integers(n, size=20), rng.integers(n, size=20)] = -0.0
     knn, _ = make_weights(n, seed=12, k=10)
-    for w in (knn, SpatialWeights(user)):
+    tested, cond = [], np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda m, p=None: tested.append(p) or cond(m, p))
+    decisions = set()
+    for w in (knn, SpatialWeights(knn.matrix.T), SpatialWeights(user)):
         dense = w.matrix
+        spread = min(dense.sum(axis=1).max(), dense.sum(axis=0).max())
         for rho in (0.4, -0.4, 0.95, -0.95, 0.0, -0.0):
+            tested.clear()
             filt = SpatialFilter(rho, w)
             assert filt.matrix.tobytes() == (np.eye(n) - rho * dense).tobytes(), rho
-            dominant = 1.0 - abs(rho) * dense.sum(axis=1).max() > DOMINANCE_MARGIN
-            assert (filt._lu is None) == dominant, rho
+            dominant = abs(rho) * spread < 1.0 - DOMINANCE_MARGIN
+            assert tested == ([] if dominant else [1]), rho
+            decisions.add(dominant)
+    assert decisions == {True, False}
 
 
 def test_spatial_filter_solve_round_trip(rng):
@@ -384,22 +393,25 @@ def test_whitener_blocks_equal_dense_solve_construction(rho1, rho2, s_mu, s_eps,
     assert fixed.within_block.tobytes() == (np.eye(n) - rho2 * w.matrix).tobytes()
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_whiteners_refuse_singular_filter():
-    # I - 0.5 W = [[1, -1], [-1, 1]] is singular; the weights are not row
-    # normalized, so the diagonal-dominance shortcut does not apply
+    # I - 0.5 W = [[1, -1], [-1, 1]] is singular; its rows and its columns
+    # sum to two, so the rows-or-columns rule does not apply.  The refusal is
+    # the only signal: no library warning precedes it.
     w = SpatialWeights(np.array([[0.0, 2.0], [2.0, 0.0]]))
-    with pytest.raises(SingularFilterError):
-        random_effects_whitener(vc(rho1=0.0, rho2=0.5, s_mu=1.0), w, 3)
-    with pytest.raises(SingularFilterError):
-        random_effects_whitener(vc(rho1=0.5, rho2=0.0, s_mu=1.0), w, 3)
-    with pytest.raises(SingularFilterError):
-        fixed_effects_whitener(VarianceComponents(rho2=0.5, sigma_eps2=1.0), w, 3)
-    # row-normalized weights within rounding of |rho| = 1 still get the
-    # pivot test, and are refused as before
-    ring, _ = make_weights(20, seed=2, k=4)
-    with pytest.raises(SingularFilterError):
-        SpatialFilter(1 - 2.0**-50, ring)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SingularFilterError):
+            random_effects_whitener(vc(rho1=0.0, rho2=0.5, s_mu=1.0), w, 3)
+        with pytest.raises(SingularFilterError):
+            random_effects_whitener(vc(rho1=0.5, rho2=0.0, s_mu=1.0), w, 3)
+        with pytest.raises(SingularFilterError):
+            fixed_effects_whitener(VarianceComponents(rho2=0.5, sigma_eps2=1.0), w, 3)
+        # row-normalized weights within rounding of |rho| = 1 still get the
+        # numerical test, and are refused as before
+        ring, _ = make_weights(20, seed=2, k=4)
+        with pytest.raises(SingularFilterError):
+            SpatialFilter(1 - 2.0**-50, ring)
+    assert caught == []
 
 
 def einsum_apply(op, values):

@@ -515,6 +515,21 @@ def test_matrix_round_trips_bit_for_bit_and_stays_read_only(tmp_path, case):
     assert weights._values.size == np.count_nonzero((dense != 0) | np.signbit(dense))
 
 
+def test_column_sums_are_the_dense_sums_bit_for_bit(tmp_path):
+    # both add each column's entries in ascending row order from +0.0; the
+    # random weights mix magnitudes, so another order would round apart
+    rng = np.random.default_rng(31)
+    for trial in range(300):
+        n = int(rng.integers(1, 1500 if trial % 50 == 0 else 120))
+        scale = 10.0 ** rng.integers(-300, 3, size=(n, n))
+        m = np.where(rng.uniform(size=(n, n)) < rng.uniform(), rng.uniform(size=(n, n)) * scale, 0.0)
+        m[rng.uniform(size=(n, n)) < 0.1] = -0.0
+        np.fill_diagonal(m, rng.choice([0.0, -0.0]))
+        assert SpatialWeights(m)._col_sums().tobytes() == m.sum(axis=0).tobytes(), trial
+    for weights, dense in _dense_cases(tmp_path).values():
+        assert weights._col_sums().tobytes() == dense.sum(axis=0).tobytes()
+
+
 @pytest.mark.parametrize(
     "weight, match",
     [("-0.5", "negative entries"), ("nan", "non-finite entries"), ("inf", "non-finite entries")],
