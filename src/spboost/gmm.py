@@ -575,13 +575,12 @@ def _moment_systems(
         )
     if weights.n_locations != data.n_locations:
         raise ValidationError("weight matrix does not match the panel")
-    row_sums, col_sums = weights._row_sums(), weights._col_sums()
-    row, col = int(np.argmax(row_sums)), int(np.argmax(col_sums))
-    if min(row_sums[row], col_sums[col]) > 1.0 + 1e-12:
+    row, row_sum, col, col_sum = weights._largest_sums
+    if min(row_sum, col_sum) > 1.0 + 1e-12:
         ids = data.location_ids
         raise ValidationError(
-            f"weight row {row} (location {ids[row]!r}) sums to {float(row_sums[row])!r} "
-            f"and column {col} (location {ids[col]!r}) to {float(col_sums[col])!r}, both "
+            f"weight row {row} (location {ids[row]!r}) sums to {float(row_sum)!r} "
+            f"and column {col} (location {ids[col]!r}) to {float(col_sum)!r}, both "
             f"> 1, so |rho| <= {RHO_BOUND} is not an admissible range; row-normalize the "
             "weights (--row-normalize)"
         )

@@ -81,14 +81,15 @@ DOMINANCE_MARGIN = 1e-6
 class SpatialFilter:
     """The filter (I - rho * W), refused when numerically singular.
 
-    The rows-or-columns rule: a filter with ``|rho| * min(largest row sum of
-    W, largest column sum of W) < 1 - DOMINANCE_MARGIN`` is strictly
-    diagonally dominant by rows or by columns, hence nonsingular (Varah 1975,
-    for the matrix or its transpose), and is accepted as it stands.  Every
-    filter that a fit, a cross-validation or a transform builds passes it:
-    ``estimate_variance_components`` says which weights and which rho it
-    admits.  A filter dominant in neither direction is refused when its
-    1-norm condition number exceeds 1e14.  Only ``solve`` factorizes.
+    ``matrix`` is ``SpatialWeights._eye_minus``.  The rows-or-columns rule, on
+    W's ``_largest_sums``: a filter with ``|rho| * min(largest row sum, largest
+    column sum) < 1 - DOMINANCE_MARGIN`` is strictly diagonally dominant by
+    rows or by columns, hence nonsingular (Varah 1975, for the matrix or its
+    transpose), and is accepted as it stands.  Every filter that a fit, a
+    cross-validation or a transform builds passes it, by the weights and rho
+    ``estimate_variance_components`` admits.  A filter dominant in neither
+    direction is refused when its 1-norm condition number exceeds 1e14.  Only
+    ``solve`` factorizes.
     """
 
     rho: float
@@ -97,12 +98,9 @@ class SpatialFilter:
     def __post_init__(self):
         if not np.isfinite(self.rho) or abs(self.rho) >= 1:
             raise ValidationError(f"spatial parameter must satisfy |rho| < 1, got {self.rho}")
-        w = self.weights
-        # 0 - rho*w at w's stored entries and a unit diagonal: the bits of
-        # np.eye(n) - rho * w, whose other entries are 0 - rho*0 = +0.0
-        self._matrix = w._dense(np.subtract(0.0, np.multiply(self.rho, w._values)))
-        np.fill_diagonal(self._matrix, 1.0)
-        spread = abs(self.rho) * min(w._row_sums().max(), w._col_sums().max())
+        self._matrix = self.weights._eye_minus(self.rho)
+        _, row_sum, _, col_sum = self.weights._largest_sums
+        spread = abs(self.rho) * min(row_sum, col_sum)
         if spread >= 1.0 - DOMINANCE_MARGIN and np.linalg.cond(self._matrix, 1) > 1e14:
             raise SingularFilterError(f"filter I - {self.rho} * W is numerically singular")
 

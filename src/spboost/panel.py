@@ -166,64 +166,16 @@ class AugmentedDesign:
 def spatial_lag(values: np.ndarray, weights: SpatialWeights, n_periods: int) -> np.ndarray:
     """Apply the weight matrix within each period block.
 
-    Works on a stacked vector (n*t,) or matrix (n*t, k); never materializes
-    the full block-diagonal operator.
-
-    A matrix of two or more columns on sparse weights, at most n/10
-    neighbours a location, is lagged through a neighbour table: entry
-    (i, j) of the lag is ``w_i1 v_1j + w_i2 v_2j + ...`` over location i's
-    neighbours in ascending order, summed term by term from zero.  That is
-    how ``np.einsum("ij,tjk->tik", W, cube)`` sums it, skipping the zero
-    weights, whose terms leave a finite sum unchanged, so both give the same
-    bits.  The table, read from the stored entries, took 0.018 s against
-    the einsum's 0.29 s at n = 2000 with 10 neighbours and 40 columns, and
-    0.6-0.93 of its time at n/10 neighbours, but 1.4-2.3 times as long at
-    n/4.  A vector or a single column keeps the BLAS product or the einsum,
-    which sum in other orders, on a dense W built for that call alone.
+    Works on a stacked vector (n*t,) or matrix (n*t, k), never forming the
+    block-diagonal operator; a matrix goes through ``SpatialWeights._lag``.
     """
     v = np.asarray(values, dtype=float)
     n = weights.n_locations
     if v.shape[0] != n * n_periods:
-        raise ValidationError(
-            f"stacked array has {v.shape[0]} rows, expected {n * n_periods}"
-        )
+        raise ValidationError(f"stacked array has {v.shape[0]} rows, expected {n * n_periods}")
     if v.ndim == 1:
-        per_period = v.reshape(n_periods, n)
-        return (per_period @ weights.matrix.T).reshape(-1)
-    per_period = v.reshape(n_periods, n, -1)
-    table = _neighbour_table(weights) if per_period.shape[2] > 1 else None
-    if table is None:
-        out = np.einsum("ij,tjk->tik", weights.matrix, per_period)
-    else:
-        out = np.zeros(per_period.shape)
-        term = np.empty(per_period.shape)
-        for columns, coefs in zip(*table):
-            np.multiply(coefs[:, None], per_period[:, columns], out=term)
-            out += term
-    return out.reshape(v.shape[0], v.shape[1])
-
-
-def _neighbour_table(weights: SpatialWeights):
-    """Each row's nonzero columns in ascending order, and their weights.
-
-    Returns two ``(width, n)`` arrays, slot by slot: slot s holds row i's
-    s-th nonzero column and weight, or column 0 with weight 0 where row i has
-    fewer; None when some row has more than n/10 nonzero columns.
-    """
-    n = weights.n_locations
-    nonzero = weights._values != 0
-    flat, values = weights._positions[nonzero], weights._values[nonzero]
-    rows, cols = np.divmod(flat, n)
-    degree = np.bincount(rows, minlength=n)
-    width = int(degree.max()) if flat.size else 0
-    if 10 * width > n:
-        return None
-    slot = np.arange(flat.size) - np.repeat(np.cumsum(degree) - degree, degree)
-    columns = np.zeros((width, n), dtype=np.intp)
-    coefs = np.zeros((width, n))
-    columns[slot, rows] = cols
-    coefs[slot, rows] = values
-    return columns, coefs
+        return (v.reshape(n_periods, n) @ weights.matrix.T).reshape(-1)
+    return weights._lag(v.reshape(n_periods, n, -1)).reshape(v.shape[0], v.shape[1])
 
 
 def _time_invariant_columns(x: np.ndarray, n: int, t: int) -> np.ndarray:

@@ -7,7 +7,6 @@ import random
 import numpy as np
 import pytest
 
-import spboost.panel
 from spboost.errors import (
     AlignmentError,
     FixedEffectsInfeasibleError,
@@ -237,7 +236,7 @@ def test_spatial_lag_is_bitwise_the_einsum_on_ragged_sparse_weights():
         reference = np.einsum("ij,tjk->tik", w, x.reshape(t, n, p)).reshape(n * t, p)
         got = spatial_lag(x, SpatialWeights(w), t)
         assert np.array_equal(got.view(np.int64), reference.view(np.int64)), seed
-        lagged += p > 1 and spboost.panel._neighbour_table(SpatialWeights(w)) is not None
+        lagged += p > 1 and SpatialWeights(w)._neighbour_table() is not None
     assert lagged >= 40
 
 
@@ -246,13 +245,13 @@ def test_spatial_lag_neighbour_table_lists_ascending_nonzero_columns():
         [[0.0, 0.0, 0.5, 0.5] + [0.0] * 16, [0.3] + [0.0] * 18 + [0.7]]
         + [[0.0] * 20] * 18
     )
-    columns, coefs = spboost.panel._neighbour_table(SpatialWeights(w))
+    columns, coefs = SpatialWeights(w)._neighbour_table()
     assert columns[:, :2].tolist() == [[2, 0], [3, 19]]
     assert coefs[:, :2].tolist() == [[0.5, 0.3], [0.5, 0.7]]
     assert not coefs[:, 2:].any()
     # a row with more than n/10 neighbours leaves the einsum in charge
     w[5, 1:4] = 1.0
-    assert spboost.panel._neighbour_table(SpatialWeights(w)) is None
+    assert SpatialWeights(w)._neighbour_table() is None
 
 
 def _dense_neighbour_table(matrix):
@@ -282,7 +281,7 @@ def test_neighbour_table_from_stored_entries_is_the_dense_scan_slot_for_slot():
         w[rng.integers(n, size=3), rng.integers(n, size=3)] = -0.0
         for weights in (SpatialWeights(w), build_knn_weights(rng.uniform(size=(n, 2)), 1 + n // 20)):
             want = _dense_neighbour_table(weights.matrix)
-            got = spboost.panel._neighbour_table(weights)
+            got = weights._neighbour_table()
             assert (got is None) == (want is None), seed
             if want is not None:
                 tables += 1

@@ -2,10 +2,12 @@
 
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import spboost.cli
 import spboost.crossval
 import spboost.pipeline
 import spboost.simulate
@@ -26,6 +28,7 @@ from spboost.simulate import (
     generate_panel,
     run_experiment,
 )
+from spboost.weights import SpatialWeights
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +248,28 @@ def test_single_replication_metrics_are_deterministic():
         ma, mb = a.per_method[method], b.per_method[method]
         assert (ma.tpr, ma.tnr, ma.mse) == (mb.tpr, mb.tnr, mb.mse)
     assert a.per_replication == b.per_replication
+
+
+def test_each_weight_matrix_is_reduced_for_the_rows_or_columns_rule_once(tmp_path, monkeypatch):
+    # every filter and the moment step's refusal read the one cached pair of
+    # largest sums; the weights objects are kept so that no id is reused
+    calls, seen = Counter(), []
+    for name in ("_row_sums", "_col_sums"):
+
+        def spy(self, real=getattr(SpatialWeights, name), name=name):
+            calls[name, id(self)] += 1
+            seen.append(self)
+            return real(self)
+
+        monkeypatch.setattr(SpatialWeights, name, spy)
+    sim_ref = "--n 100 --t 5 --k 40 --rho1 0.4 --rho2 -0.4 --nsim 20 --seed 0 --threads 1"
+    assert spboost.cli.main(["simulate", *sim_ref.split(), "--out-dir", str(tmp_path)]) == 0
+    assert calls and max(calls.values()) == 1
+    cfg = DgpConfig(n_locations=60, n_candidates=10, rho1=0.4, rho2=-0.4, n_replications=1)
+    for spec in (ModelSpec(), ModelSpec(effects="fixed", include_intercept=False)):
+        calls.clear()
+        fit_model(*generate_panel(cfg, 0), spec, config=BoostConfig(m_stop=50))
+        assert calls and max(calls.values()) == 1, spec
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from spboost.gmm import MomentSystem, ResidualTriple
 from spboost.panel import AugmentedDesign, Effects, PanelDataset
 from spboost.transform import TransformedData
 from spboost.weights import (
+    DENSE_LIMIT,
     SpatialWeights,
     _frozen,
     _read_only,
@@ -370,6 +371,24 @@ def test_read_neighbor_csv_refuses_more_locations_than_dense_limit(tmp_path):
     ids = tuple(str(i) for i in range(4097))
     with pytest.raises(ValidationError, match="dense weight matrix limit"):
         read_neighbor_csv(path, ids)
+
+
+def test_every_construction_path_refuses_more_locations_than_dense_limit(tmp_path):
+    # the dense case is a broadcast view, so the refusal must come before
+    # anything forms n x n values from it
+    n = DENSE_LIMIT + 1
+    path = tmp_path / "edges.csv"
+    path.write_text("from,to,weight\n")
+    paths = (
+        lambda: SpatialWeights(np.broadcast_to(0.0, (n, n))),
+        lambda: SpatialWeights._from_entries(n, np.empty(0, np.intp), np.empty(0)),
+        lambda: build_knn_weights(np.arange(2.0 * n).reshape(n, 2), 10),
+        lambda: read_neighbor_csv(path, [str(i) for i in range(n)]),
+    )
+    message = f"^{n} locations exceeds the dense weight matrix limit of {DENSE_LIMIT}$"
+    for build in paths:
+        with pytest.raises(ValidationError, match=message):
+            build()
 
 
 # ---------------------------------------------------------------------------
