@@ -37,7 +37,7 @@ from .report import (
     write_json,
     write_metrics_reports,
 )
-from .simulate import DgpConfig, run_experiment
+from .simulate import METHODS, DgpConfig, run_experiment
 from .weights import build_knn_weights, read_centroid_csv, read_neighbor_csv, row_normalize
 
 def _add_ingestion_options(p: argparse.ArgumentParser) -> None:
@@ -123,11 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--knn", type=int, default=10)
     p_sim.add_argument("--effects", choices=["random", "fixed"], default="random")
     p_sim.add_argument("--family", choices=["ans", "kkp", "gspecm"], default="gspecm")
-    p_sim.add_argument(
-        "--methods",
-        default="fgls,ltb,des",
-        help="comma-separated subset of fgls,ltb,des",
-    )
+    methods = ",".join(METHODS)
+    p_sim.add_argument("--methods", default=methods, help=f"comma-separated subset of {methods}")
     p_sim.add_argument("--folds", type=int, default=5)
     p_sim.add_argument("--tau", type=float, default=0.01)
     _add_boost_options(p_sim)

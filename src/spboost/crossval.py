@@ -32,7 +32,7 @@ import numpy as np
 
 from .boosting import BoostConfig, _gram_path, _screen_norms
 from .errors import DegenerateGeometryError, ValidationError
-from .weights import _read_only
+from .weights import _centroid_array, _read_only
 
 KMEANS_RESTARTS = 50
 KMEANS_MAX_ITER = 100
@@ -201,11 +201,7 @@ def make_spatial_folds(
     ``iter=100``), sized so that a batch's work arrays hold at most
     ``KMEANS_BATCH_ENTRIES`` values each, and are scanned in restart order.
     """
-    pts = np.asarray(centroids, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValidationError(f"centroids must have shape (n, 2), got {pts.shape}")
-    if not np.all(np.isfinite(pts)):
-        raise ValidationError("centroids contain non-finite coordinates")
+    pts = _centroid_array(centroids)
     n = pts.shape[0]
     if not (2 <= n_folds <= n):
         raise ValidationError(

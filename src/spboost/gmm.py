@@ -31,7 +31,9 @@ from .boosting import BoostConfig, _direct_coefficients
 from .crossval import FoldPlan, boost_cv_curve, choose_stopping_iteration, make_time_folds
 from .errors import EstimationFailureError, ValidationError
 from .linalg import ProjectorKind, TimeProjector
-from .panel import AugmentedDesign, Effects, Family, ModelSpec, PanelDataset, spatial_lag
+from .panel import (
+    AugmentedDesign, Effects, Family, ModelSpec, PanelDataset, _check_weight_size, spatial_lag
+)
 from .weights import SpatialWeights, _read_only
 
 RHO_BOUND = 0.999
@@ -573,8 +575,7 @@ def _moment_systems(
         raise ValidationError(
             "variance decomposition needs at least two periods (degenerate panel)"
         )
-    if weights.n_locations != data.n_locations:
-        raise ValidationError("weight matrix does not match the panel")
+    _check_weight_size(data, weights)
     row, row_sum, col, col_sum = weights._largest_sums
     if min(row_sum, col_sum) > 1.0 + 1e-12:
         ids = data.location_ids

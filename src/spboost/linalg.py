@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ConditioningError, SingularFilterError, ValidationError
+from .panel import _by_period
 from .weights import SpatialWeights
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -55,21 +56,15 @@ class TimeProjector:
             )
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        v = np.asarray(values, dtype=float)
-        n, t = self.n_locations, self.n_periods
-        if v.shape[0] != n * t:
-            raise ValidationError(
-                f"stacked array has {v.shape[0]} rows, expected {n * t}"
-            )
-        shape = (t, n) if v.ndim == 1 else (t, n, v.shape[1])
-        cube = v.reshape(shape)
+        """The projection of a stacked vector or matrix (rows as ``_by_period``)."""
+        v, cube = _by_period(values, self.n_locations, self.n_periods)
         mean = cube.mean(axis=0, keepdims=True)
         if self.kind is ProjectorKind.WITHIN:
             out = cube - mean
         elif self.kind is ProjectorKind.BETWEEN:
-            out = np.broadcast_to(mean, shape)
+            out = np.broadcast_to(mean, cube.shape)
         else:
-            out = mean - (cube - mean) / (t - 1)
+            out = mean - (cube - mean) / (self.n_periods - 1)
         return np.ascontiguousarray(out).reshape(v.shape)
 
 
@@ -109,16 +104,12 @@ class SpatialFilter:
         return self._matrix
 
     def solve(self, values: np.ndarray, n_periods: int = 1) -> np.ndarray:
-        """(I - rho W)^{-1} v within each period block, by one LU factorization."""
+        """(I - rho W)^{-1} v in each period (rows as ``_by_period``), by one LU."""
         from scipy.linalg import lu_factor, lu_solve
 
-        v = np.asarray(values, dtype=float)
-        n = self.weights.n_locations
-        if v.shape[0] != n * n_periods:
-            raise ValidationError(f"expected {n * n_periods} rows, got {v.shape[0]}")
+        v, cube = _by_period(values, self.weights.n_locations, n_periods)
         lu = lu_factor(self._matrix)
-        out = np.stack([lu_solve(lu, block) for block in v.reshape(n_periods, n, -1)])
-        return out.reshape(v.shape)
+        return np.stack([lu_solve(lu, block) for block in cube]).reshape(v.shape)
 
 
 def symmetric_sqrt(block: np.ndarray, what: str) -> np.ndarray:
@@ -192,16 +183,13 @@ class WhiteningOperator:
         return self.within_block.shape[0]
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        v = np.asarray(values, dtype=float)
-        n, t = self.n_locations, self.n_periods
-        if v.shape[0] != n * t:
-            raise ValidationError(f"expected {n * t} rows, got {v.shape[0]}")
-        cube = v.reshape(t, n, -1)
+        """The whitened stacked vector or matrix (rows as ``_by_period``)."""
+        v, cube = _by_period(values, self.n_locations, self.n_periods)
         mean = cube.mean(axis=0)
         out = np.empty(v.shape)
         # one BLAS product per period, each through a one-period temporary
         blocks = out.reshape(cube.shape)
-        for p in range(t):
+        for p in range(self.n_periods):
             np.matmul(self.within_block, cube[p] - mean, out=blocks[p])
         if self.between_block is not None:
             blocks += self.between_block @ mean

@@ -22,7 +22,7 @@ from .errors import (
     UnbalancedPanelError,
     ValidationError,
 )
-from .weights import SpatialWeights, _csv_rows, _frozen, _read_only
+from .weights import SpatialWeights, _centroid_array, _csv_rows, _frozen, _read_only
 
 INTERCEPT_NAME = "intercept"
 LAG_PREFIX = "W_"
@@ -115,13 +115,7 @@ class PanelDataset:
             raise ValidationError("regressors contain non-finite entries")
         cent = self.centroids
         if cent is not None:
-            cent = _read_only(cent)
-            if cent.shape != (n, 2):
-                raise ValidationError(
-                    f"centroids have shape {cent.shape}, expected ({n}, 2)"
-                )
-            if not np.all(np.isfinite(cent)):
-                raise ValidationError("centroids contain non-finite coordinates")
+            cent = _centroid_array(_read_only(cent), n)
         object.__setattr__(self, "response", y)
         object.__setattr__(self, "regressors", x)
         object.__setattr__(self, "regressor_names", names)
@@ -163,19 +157,35 @@ class AugmentedDesign:
         return self.columns.shape[1]
 
 
-def spatial_lag(values: np.ndarray, weights: SpatialWeights, n_periods: int) -> np.ndarray:
-    """Apply the weight matrix within each period block.
+def _by_period(values, n_locations: int, n_periods: int) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` as a float array and its ``(n_periods, n_locations, -1)``
+    view, one period per slab: the one check every operator on a stacked
+    vector (n*t,) or matrix (n*t, k) makes of its row count."""
+    v, rows = np.asarray(values, dtype=float), n_locations * n_periods
+    if v.shape[0] != rows:
+        raise ValidationError(f"stacked array has {v.shape[0]} rows, expected {rows}")
+    return v, v.reshape(n_periods, n_locations, -1)
 
-    Works on a stacked vector (n*t,) or matrix (n*t, k), never forming the
-    block-diagonal operator; a matrix goes through ``SpatialWeights._lag``.
+
+def _check_weight_size(data: PanelDataset, weights: SpatialWeights) -> None:
+    """Refuse weights whose location count is not the panel's."""
+    if weights.n_locations != data.n_locations:
+        raise ValidationError(
+            f"weight matrix is {weights.n_locations}x{weights.n_locations} but the "
+            f"panel has {data.n_locations} locations"
+        )
+
+
+def spatial_lag(values: np.ndarray, weights: SpatialWeights, n_periods: int) -> np.ndarray:
+    """Apply the weight matrix within each period block (rows as ``_by_period``).
+
+    Never forms the block-diagonal operator: a vector takes one product with
+    W' over its (t, n) periods, a matrix goes through ``SpatialWeights._lag``.
     """
-    v = np.asarray(values, dtype=float)
-    n = weights.n_locations
-    if v.shape[0] != n * n_periods:
-        raise ValidationError(f"stacked array has {v.shape[0]} rows, expected {n * n_periods}")
+    v, cube = _by_period(values, weights.n_locations, n_periods)
     if v.ndim == 1:
-        return (v.reshape(n_periods, n) @ weights.matrix.T).reshape(-1)
-    return weights._lag(v.reshape(n_periods, n, -1)).reshape(v.shape[0], v.shape[1])
+        return (cube[:, :, 0] @ weights.matrix.T).reshape(-1)
+    return weights._lag(cube).reshape(v.shape)
 
 
 def _time_invariant_columns(x: np.ndarray, n: int, t: int) -> np.ndarray:
@@ -196,11 +206,7 @@ def augment_design(
     design without any column (no regressor and no intercept) is refused
     with ``ValidationError`` before anything is estimated.
     """
-    if weights.n_locations != data.n_locations:
-        raise ValidationError(
-            f"weight matrix is {weights.n_locations}x{weights.n_locations} but the "
-            f"panel has {data.n_locations} locations"
-        )
+    _check_weight_size(data, weights)
     if not (spec.include_intercept or data.regressor_names):
         raise ValidationError(
             "the candidate design has no column: the panel has no regressor and "

@@ -134,10 +134,10 @@ class FitResult:
                 return np.zeros(len(self.names))
             return self.deselection.refit.coefficients
         if method == "fgls":
+            if self.baseline_unavailable_reason is not None:
+                raise RankError(self.baseline_unavailable_reason)
             if self.baseline is None:
-                raise RankError(
-                    self.baseline_unavailable_reason or "baseline unavailable"
-                )
+                raise ValidationError("baseline was not run")
             return self.baseline
         raise ValidationError(f"unknown method {method!r}")
 

@@ -64,6 +64,17 @@ def _read_only(value, dtype=float) -> np.ndarray:
     return out
 
 
+def _centroid_array(centroids, n: int | None = None) -> np.ndarray:
+    """``centroids`` as floats, refused unless finite and (n, 2), any n if None."""
+    pts = np.asarray(centroids, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2 or n not in (None, pts.shape[0]):
+        rows = "n" if n is None else n
+        raise ValidationError(f"centroids must have shape ({rows}, 2), got {pts.shape}")
+    if not np.all(np.isfinite(pts)):
+        raise ValidationError("centroids contain non-finite coordinates")
+    return pts
+
+
 def _frozen(value: np.ndarray) -> np.ndarray:
     """``value``, which its caller has just built, made read-only, so that
     ``_read_only`` hands it to a record without a copy."""
@@ -238,11 +249,7 @@ def build_knn_weights(centroids: np.ndarray, k: int) -> SpatialWeights:
     k : int
         Number of neighbours, 1 <= k < n.
     """
-    pts = np.asarray(centroids, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValidationError(f"centroids must have shape (n, 2), got {pts.shape}")
-    if not np.all(np.isfinite(pts)):
-        raise ValidationError("centroids contain non-finite coordinates")
+    pts = _centroid_array(centroids)
     n = pts.shape[0]
     _refuse_oversized(n)
     if not (1 <= k < n):

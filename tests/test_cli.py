@@ -786,6 +786,9 @@ def test_simulate_refuses_undefined_metrics_before_fitting(tmp_path, capsys, ext
         (("--seed", "-1"), "seed must be non-negative, got -1"),
         (("--sigma-eps2", "nan"), "variances must be finite"),
         (("--sigma-mu2", "inf"), "variances must be finite"),
+        (("--n", "1"), "the DGP needs at least 2 locations and 2 periods"),
+        # refused by the first fold plan, after replication 0 is drawn
+        (("--folds", "1"), "n_folds must be between 2 and the number of locations, got 1"),
     ],
 )
 def test_simulate_refuses_invalid_dgp_flags(tmp_path, capsys, extra, message):
